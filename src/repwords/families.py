@@ -106,11 +106,12 @@ def _norm_family_stream(f: NormFamily) -> Iterator[QuadInt]:
     if x.a < 0:
         x = -x
     while True:
-        assert x.a > 0 and x.b > 0
-        assert x.norm() == f.target_norm
+        if x.a <= 0 or x.b <= 0 or x.norm() != f.target_norm:
+            raise FamilyError(f"orbit left the positive norm-{f.target_norm} branch at {x}")
         if f.congruence is not None:
             m, (ra, rb) = f.congruence
-            assert (x.a - ra) % m == 0 and (x.b - rb) % m == 0
+            if (x.a - ra) % m or (x.b - rb) % m:
+                raise FamilyError(f"orbit member {x} left its class mod {m}")
         yield x
         x = x * g
 
@@ -245,7 +246,8 @@ def gen_232(count: int) -> list[SolutionRecord]:
         for el in _norm_family_stream(fam):
             x, y0 = (el.a - 1) // 2, el.b // 2
             num = x * x - x + 1
-            assert num % 49 == 0
+            if num % 49:
+                raise FamilyError(f"x^2 - x + 1 not divisible by 49 at x = {x}")
             c = 3 * (num // 49)
             y = 3 * y0 * (num // 7)
             yield _rec(2, 3, 2, x, y, c)
@@ -322,9 +324,9 @@ def gen_422(count: int) -> list[SolutionRecord]:
     def stream():
         for el in _norm_family_stream(fam):
             x, y0 = el.a, el.b
-            assert y0 % 13 == 0
             c, rem = divmod(8 * 81 * y0 * y0, 13**4)
-            assert rem == 0
+            if rem:
+                raise FamilyError(f"13^4 does not divide 648 * y0^2 at y0 = {y0}")
             yield _rec(4, 2, 2, x, 6 * (y0 // 13), c)
 
     return _emit_verified(stream(), count)
@@ -362,8 +364,9 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
                 witness = next(
                     b for b in range(2, p2) if pow(b, 2**t, p2) == p2 - 1
                 )
-                m = (witness**l + 1) // p2
-                assert m * p2 == witness**l + 1
+                m, rem = divmod(witness**l + 1, p2)
+                if rem:
+                    raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")
                 v = isqrt(p2 // witness)
                 while v * v * witness < p2:
                     v += 1
@@ -457,7 +460,8 @@ def gen_22_by_base(b: int, count: int) -> list[SolutionRecord]:
         r = 1
         while True:
             block = b ** (r * e) + 1
-            assert block % p2 == 0
+            if block % p2:
+                raise FamilyError(f"p^2 = {p2} does not divide {b}^{r * e} + 1")
             yield _rec(2, 2, r * e, b, t * t * (block // p), t**4 * (block // p2))
             r += 2
 

@@ -22,9 +22,9 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from itertools import count
 
-from .arith import iroot
+from .arith import ceil_root, iroot
 from .factoring import Factorization, FactorBudgetError, factor_quotient
 from .triples import Triple
 from .words import (
@@ -43,6 +43,10 @@ _BRUTE_LIMIT = 10**7
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is corrupt or belongs to a different search."""
+
+
+class InvariantError(RuntimeError):
+    """A solver produced a result that fails its own exact check."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,13 @@ def _record(t: Triple, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
 
 
+def _checked(rec: SolutionRecord, source: str) -> SolutionRecord:
+    bad = check_solution(rec)
+    if bad:
+        raise InvariantError(f"{source} produced a record failing {bad}: {rec}")
+    return rec
+
+
 def solutions_for_base(
     t: Triple, b: int, *, factor_budget_ms: int | None = None
 ) -> list[SolutionRecord]:
@@ -125,7 +136,8 @@ def solutions_for_base(
     r = f.value
     d = compute_defect(f, t.q)
     s, exact = iroot(d * r, t.q)
-    assert exact, "defect times quotient must be a perfect power"
+    if not exact:
+        raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
     c_lo, c_hi = b ** (t.l - 1), b**t.l
     k, _ = iroot((c_lo - 1) // d + 1, t.q)
     while k**t.q * d < c_lo:
@@ -134,10 +146,7 @@ def solutions_for_base(
         k -= 1
     out = []
     while k**t.q * d < c_hi:
-        c = k**t.q * d
-        rec = _record(t, b, k * s, c)
-        assert verify_solution(rec), "defect scan produced a bad record"
-        out.append(rec)
+        out.append(_checked(_record(t, b, k * s, k**t.q * d), "defect scan"))
         k += 1
     return out
 
@@ -157,9 +166,7 @@ def brute_solutions_for_base(t: Triple, b: int) -> list[SolutionRecord]:
     for c in range(b ** (t.l - 1), b**t.l):
         y, exact = iroot(c * r, t.q)
         if exact:
-            rec = _record(t, b, y, c)
-            assert verify_solution(rec), "oracle produced a bad record"
-            out.append(rec)
+            out.append(_checked(_record(t, b, y, c), "oracle"))
     return out
 
 
@@ -272,13 +279,17 @@ def write_checkpoint(path: str, cp: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
+    """Read a checkpoint, dropping a torn (unterminated, unparsable) last line.
+
+    Any other malformed line raises CheckpointError.
+    """
     triple: Triple | None = None
     completed: list[tuple[int, int]] = []
     solutions: list[SolutionRecord] = []
     unresolved: list[int] = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
                 continue
             try:
@@ -308,6 +319,10 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                     raise CheckpointError(f"unknown record kind {key!r}")
             except CheckpointError as e:
                 raise CheckpointError(f"{path}:{lineno}: {e}") from None
+            except json.JSONDecodeError as e:
+                if not raw.endswith("\n"):
+                    break  # unterminated last line: an append cut short
+                raise CheckpointError(f"{path}:{lineno}: {e}") from None
             except (ValueError, KeyError, IndexError, TypeError) as e:
                 raise CheckpointError(f"{path}:{lineno}: {e}") from None
     if triple is None:
@@ -322,6 +337,12 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
     return Checkpoint(
         triple, tuple(completed), tuple(solutions), tuple(unresolved)
     ).normalized()
+
+
+def _ends_with_newline(path: str) -> bool:
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def _scan_bases(
@@ -372,7 +393,8 @@ def search_range(
 
     appender = None
     if checkpoint_path:
-        if not os.path.exists(checkpoint_path):
+        if not os.path.exists(checkpoint_path) or not _ends_with_newline(checkpoint_path):
+            # new file, or one whose torn tail must not prefix the next append
             write_checkpoint(checkpoint_path, cp)
         appender = open(checkpoint_path, "a")
 
@@ -422,101 +444,42 @@ def search_range(
 # Zeckendorf repetition scans
 
 
-def _fib_square_candidates_py(y_lo: int, y_hi: int) -> list[int]:
-    out = []
-    for y in range(y_lo, y_hi):
-        digits = to_zeckendorf(y * y).digits
-        half, rem = divmod(len(digits), 2)
-        if rem == 0 and digits[:half] == digits[half:]:
-            out.append(y)
-    return out
-
-
-def _fib_square_candidates_np(y_lo: int, y_hi: int) -> list[int]:
-    """Vectorized greedy Zeckendorf of y**2 for every y in [y_lo, y_hi).
-
-    Digit words are packed into two 36-bit lanes per value, so the scan
-    is valid while y**2 stays below Fibonacci number 74; the caller
-    guards that.  Matches are re-verified exactly by the caller.
-    """
-    import numpy as np
-
-    out: list[int] = []
-    chunk = 1 << 20
-    for start in range(y_lo, y_hi, chunk):
-        stop = min(start + chunk, y_hi)
-        ys = np.arange(start, stop, dtype=np.int64)
-        residual = ys * ys
-        top = 2
-        while fibonacci(top + 1) <= int(residual[-1]):
-            top += 1
-        low = np.zeros(len(ys), dtype=np.uint64)
-        high = np.zeros(len(ys), dtype=np.uint64)
-        for i in range(top, 1, -1):
-            f = fibonacci(i)
-            mask = residual >= f
-            residual -= f * mask
-            bit = mask.astype(np.uint64)
-            if i >= 38:
-                high |= bit << np.uint64(i - 38)
-            else:
-                low |= bit << np.uint64(i - 2)
-        # word length of each Zeckendorf string, via exact float exponents
-        len_low = np.frexp(low.astype(np.float64))[1].astype(np.int64)
-        len_high = np.frexp(high.astype(np.float64))[1].astype(np.int64)
-        total = np.where(high > 0, 36 + len_high, len_low)
-        even = (total & 1) == 0
-        half = (total >> 1).astype(np.uint64)
-        ones = np.uint64(1)
-        bottom = low & ((ones << half) - ones)
-        upper = (high << (np.uint64(36) - half)) | (low >> half)
-        match = even & (bottom == upper) & (total > 0)
-        out.extend(int(y) for y in ys[match])
-    return out
-
-
-def _numpy_scan_limit() -> int:
-    # two 36-bit lanes hold words up to index 73, i.e. y*y < F(74)
-    return isqrt(fibonacci(74) - 1)
-
-
 def search_fib_squares(y_max: int) -> list[tuple[int, Word]]:
-    """All y with 2 <= y < y_max whose square has Zeckendorf word u u.
-
-    Returns (y, u) pairs ascending in y.  Candidates come from a packed
-    numpy scan when available and in range; every candidate is then
-    re-encoded exactly before being reported.
-    """
-    if y_max <= 2:
-        return []
-    candidates: list[int]
-    try:
-        import numpy  # noqa: F401
-
-        have_numpy = True
-    except ImportError:
-        have_numpy = False
-    if have_numpy and y_max - 1 <= _numpy_scan_limit():
-        candidates = _fib_square_candidates_np(2, y_max)
-    else:
-        candidates = _fib_square_candidates_py(2, y_max)
-    out = []
-    for y in candidates:
-        u = split_repetition(to_zeckendorf(y * y), 2)
-        if u is not None:
-            out.append((y, u))
-    return out
+    """All y with 2 <= y < y_max whose square has Zeckendorf word u u."""
+    return search_fib_powers(2, 2, y_max)
 
 
 def search_fib_powers(q: int, n: int, y_max: int) -> list[tuple[int, Word]]:
-    """All y < y_max with the Zeckendorf word of y**q an n-fold repeat."""
+    """All y with 2 <= y < y_max whose y**q has Zeckendorf word u^n.
+
+    Returns (y, u) pairs ascending in y.  A length-k word u of value U,
+    repeated n times, has value A*U + B*U' where A = sum F(ik+1) and
+    B = sum F(ik) over i < n (from F(p+ik) = F(p)F(ik+1) + F(p-1)F(ik)),
+    and U' is u read one place lower, within 0.62 of U/phi.  So only the
+    y with F(nk+1) <= y**q < F(nk+2) can match, and for each of them U
+    lies within one of U0 = y**q * num // den, where num/den approximates
+    1/(A + B/phi) by a Fibonacci ratio; a match needs B | y**q - A*U.
+    Every y passing that test is re-encoded exactly before it is reported.
+    """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     out = []
-    for y in range(2, y_max):
-        u = split_repetition(to_zeckendorf(y**q), n)
-        if u is not None:
-            out.append((y, u))
-    return out
+    for k in count(1):
+        y_lo = max(2, ceil_root(fibonacci(n * k + 1), q))
+        if y_lo >= y_max:
+            return out
+        y_hi = min(y_max, ceil_root(fibonacci(n * k + 2), q))
+        a = sum(fibonacci(i * k + 1) for i in range(n))
+        b = sum(fibonacci(i * k) for i in range(n))
+        m = n * k + 4
+        num, den = fibonacci(m + 1), a * fibonacci(m + 1) + b * fibonacci(m)
+        # residues of y**q - A*U0 that leave U in {U0 - 1, U0, U0 + 1}
+        hits = {0, a % b, -a % b}
+        for y in range(y_lo, y_hi):
+            v = y**q
+            if (v - a * (v * num // den)) % b in hits:
+                u = split_repetition(to_zeckendorf(v), n)
+                if u is not None:
+                    out.append((y, u))

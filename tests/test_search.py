@@ -2,9 +2,15 @@
 Zeckendorf square scans."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repwords
+from repwords import search
 from repwords.factoring import factor
 from repwords.search import (
     Checkpoint,
@@ -22,7 +28,7 @@ from repwords.search import (
     write_checkpoint,
 )
 from repwords.triples import Triple
-from repwords.words import canonical_word, to_canonical, to_zeckendorf
+from repwords.words import canonical_word, split_repetition, to_canonical, to_zeckendorf
 
 
 def rec(q, n, l, b, y, c):
@@ -139,6 +145,75 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):
+    # a kill during an append leaves a half-written last line; resuming
+    # from a cut at any byte of the last chunk gives the uninterrupted run
+    t = Triple(2, 3, 1)
+    path = tmp_path / "cp.jsonl"
+    write_checkpoint(str(path), Checkpoint(t, (), (), ()))
+    with monkeypatch.context() as m:
+        m.setattr(search, "write_checkpoint", lambda *a: sys.exit("killed"))
+        with pytest.raises(SystemExit):
+            search_range(t, 2, 75, str(path), flush_every=16)
+    appended = path.read_bytes()
+    lines = appended.splitlines(keepends=True)
+    assert json.loads(lines[-1]) == {"range": ["66", "75"]}
+    assert b'"b": "68"' in lines[-2]  # the last chunk carries solutions
+
+    whole_path = tmp_path / "whole.jsonl"
+    whole = search_range(t, 2, 75, str(whole_path))
+    last_chunk = appended.rindex(b"range", 0, len(appended) - len(lines[-1]))
+    start = appended.index(b"\n", last_chunk) + 1
+    for cut in range(start, len(appended)):
+        path.write_bytes(appended[:cut])
+        assert search_range(t, 2, 75, str(path)) == whole
+        assert path.read_bytes() == whole_path.read_bytes()
+
+
+def test_checkpoint_drops_only_an_unterminated_tail(tmp_path):
+    t = Triple(2, 3, 1)
+    path = tmp_path / "cp.jsonl"
+    head = '{"triple": ["2", "3", "1"]}\n{"range": ["2", "50"]}\n'
+    path.write_text(head + '{"range": ["51", "6')
+    assert load_checkpoint(str(path), expect=t).completed == ((2, 50),)
+    path.write_text(head + '{"range": ["51", "60"]}')  # complete, newline lost
+    assert load_checkpoint(str(path), expect=t).completed == ((2, 60),)
+    path.write_text(head + '{"range": ["51", "6\n')
+    with pytest.raises(CheckpointError, match=":3:"):
+        load_checkpoint(str(path))
+
+
+def test_invariant_checks_survive_optimize():
+    # under python -O a corrupted record must still be refused, not returned
+    script = textwrap.dedent(
+        """
+        import dataclasses, sys
+        from repwords import search
+        from repwords.triples import Triple
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        real = search._record
+        search._record = lambda *a: dataclasses.replace(real(*a), y=real(*a).y + 1)
+        for solve in (search.solutions_for_base, search.brute_solutions_for_base):
+            try:
+                solve(Triple(2, 3, 1), 18)
+            except search.InvariantError as e:
+                print(e)
+            else:
+                sys.exit(f"{solve.__name__} returned a corrupted record")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repwords.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("power-equation") == 2
+
+
 def test_checkpoint_rejects_foreign_triple(tmp_path):
     t = Triple(2, 3, 1)
     path = str(tmp_path / "cp.jsonl")
@@ -185,6 +260,25 @@ def test_fib_squares_match_brute():
         if w is not None:
             want.append((y, w))
     assert search_fib_squares(30_000) == want
+
+
+def brute_fib_powers(q, n, y_max):
+    out = []
+    for y in range(2, y_max):
+        u = split_repetition(to_zeckendorf(y**q), n)
+        if u is not None:
+            out.append((y, u))
+    return out
+
+
+# (5, 2) reaches y**5 > 2**63, past any fixed-width integer scan
+@pytest.mark.parametrize(
+    "q,n,y_max",
+    [(2, 2, 20_000), (2, 3, 20_000), (3, 2, 20_000), (2, 4, 20_000),
+     (4, 2, 20_000), (3, 3, 20_000), (5, 2, 20_000)],
+)
+def test_fib_powers_match_brute(q, n, y_max):
+    assert search_fib_powers(q, n, y_max) == brute_fib_powers(q, n, y_max)
 
 
 def test_fib_powers():
