@@ -114,20 +114,6 @@ class QuadInt:
         return (self.a - other.a) % m == 0 and (self.b - other.b) % m == 0
 
 
-def quad_pow_mod(alpha: QuadInt, k: int, m: int) -> QuadInt:
-    """alpha ** k with coefficients reduced mod m at every step."""
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    result = QuadInt(1, 0, alpha.d)
-    base = alpha.reduce(m)
-    while k:
-        if k & 1:
-            result = (result * base).reduce(m)
-        base = (base * base).reduce(m)
-        k >>= 1
-    return result
-
-
 def unit_order(u: QuadInt, m: int, cap: int = 10_000) -> int:
     """Least r >= 1 with u ** r congruent to 1 mod m, for a unit u."""
     if abs(u.norm()) != 1:

@@ -32,14 +32,9 @@ from .families import (
     gen_fibonacci_family,
     gen_n21,
 )
-from .search import (
-    CheckpointError,
-    SolutionRecord,
-    _solution_to_json,
-    search_range,
-)
+from .search import CheckpointError, search_range
 from .triples import F_value, Triple, is_admissible
-from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
+from .words import System, Word, render_word, to_bijective, to_canonical, to_zeckendorf
 
 
 def _parse_triple(text: str) -> Triple:
@@ -52,25 +47,50 @@ def _parse_triple(text: str) -> Triple:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write_solutions(records: list[SolutionRecord], fmt: str) -> None:
+_SPLIT_DIGITS = 4000
+_SPLIT = 10**_SPLIT_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
+    if x < _SPLIT:
+        return str(x)
+    hi, lo = divmod(x, _SPLIT)
+    return _decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
+
+
+def _word_cell(w: Word, fmt: str) -> str | list[str]:
+    if w.system is System.ZECKENDORF:
+        return "".join(map(str, w.digits))
+    digits = list(map(_decimal, w.digits))
+    return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
+
+
+def _write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
+    """One CSV (with header) or JSONL line per row of ints, strs and Words."""
+    lines = (
+        [
+            _decimal(v) if isinstance(v, int)
+            else _word_cell(v, fmt) if isinstance(v, Word)
+            else v
+            for v in row
+        ]
+        for row in rows
+    )
     if fmt == "jsonl":
-        for rec in records:
-            print(json.dumps(_solution_to_json(rec)["solution"]))
+        for cells in lines:
+            print(json.dumps(dict(zip(header, cells))))
         return
     wr = csv.writer(sys.stdout)
-    wr.writerow(["q", "n", "l", "b", "y", "c", "w"])
-    for rec in records:
-        wr.writerow(
-            [
-                rec.q,
-                rec.n,
-                rec.l,
-                rec.b,
-                rec.y,
-                rec.c,
-                "(" + ",".join(str(d) for d in rec.w.digits) + ")",
-            ]
-        )
+    wr.writerow(header)
+    wr.writerows(lines)
+
+
+_RECORD_HEADER = ("q", "n", "l", "b", "y", "c", "w")
+
+
+def _record_rows(records) -> list[tuple]:
+    return [(r.q, r.n, r.l, r.b, r.y, r.c, r.w) for r in records]
 
 
 def _cmd_search(args) -> int:
@@ -94,7 +114,7 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_solutions(list(cp.solutions), args.format)
+    _write_rows(_RECORD_HEADER, _record_rows(cp.solutions), args.format)
     for b in cp.unresolved:
         print(f"warning: base {b} unresolved (factoring budget exhausted)", file=sys.stderr)
     return 0
@@ -126,47 +146,16 @@ def _cmd_generate(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        rows = [gen_bijective_square(b, t.l) for b in range(2, count + 2)]
-        if args.format == "jsonl":
-            for b, (y, w) in zip(range(2, count + 2), rows):
-                print(
-                    json.dumps(
-                        {
-                            "b": str(b),
-                            "l": str(t.l),
-                            "y": str(y),
-                            "w": [str(d) for d in w.digits],
-                        }
-                    )
-                )
-        else:
-            wr = csv.writer(sys.stdout)
-            wr.writerow(["b", "l", "y", "w"])
-            for b, (y, w) in zip(range(2, count + 2), rows):
-                wr.writerow([b, t.l, y, "(" + ",".join(str(d) for d in w.digits) + ")"])
+        rows = [(b, t.l, *gen_bijective_square(b, t.l)) for b in range(2, count + 2)]
+        _write_rows(("b", "l", "y", "w"), rows, args.format)
         return 0
 
     if args.system == "fibonacci":
         if (t.q, t.n) != (2, 2):
             print("error: fibonacci generation needs --triple 2,2,L", file=sys.stderr)
             return 2
-        rows = [gen_fibonacci_family(k) for k in range(1, count + 1)]
-        if args.format == "jsonl":
-            for k, (y, w) in enumerate(rows, start=1):
-                print(
-                    json.dumps(
-                        {
-                            "param": str(k),
-                            "y": str(y),
-                            "w": "".join(str(d) for d in w.digits),
-                        }
-                    )
-                )
-        else:
-            wr = csv.writer(sys.stdout)
-            wr.writerow(["param", "y", "w"])
-            for k, (y, w) in enumerate(rows, start=1):
-                wr.writerow([k, y, "".join(str(d) for d in w.digits)])
+        rows = [(k, *gen_fibonacci_family(k)) for k in range(1, count + 1)]
+        _write_rows(("param", "y", "w"), rows, args.format)
         return 0
 
     key = (t.q, t.n, t.l)
@@ -182,7 +171,7 @@ def _cmd_generate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _write_solutions(records, args.format)
+    _write_rows(_RECORD_HEADER, _record_rows(records), args.format)
     return 0
 
 

@@ -20,17 +20,14 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .families import _instantiate_pattern, _parse_pattern
+from .families import FamilyError, bijective_pattern_square, parse_pattern
 from .search import SolutionRecord, check_solution
 from .words import (
     MalformedWordError,
     Word,
-    bijective_word,
     canonical_word,
     repeat_word,
-    to_bijective,
     to_zeckendorf,
-    word_value,
     zeckendorf_word,
 )
 
@@ -132,7 +129,7 @@ def _parse_rows(kind: str, numbered, name: str):
                     int(cells[0]), int(cells[1]), cells[2].strip(), cells[3].strip()
                 )
                 for pat in (row.y_pattern, row.w_pattern):
-                    for block, _, _ in _parse_pattern(pat):
+                    for block, _, _ in parse_pattern(pat):
                         bad = [d for d in block if not 1 <= d <= row.base]
                         if bad:
                             raise MalformedCorpusError(
@@ -198,16 +195,15 @@ def _check_zeckendorf_row(y: int, w: Word) -> str | None:
 
 
 def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
-    y_runs = _parse_pattern(row.y_pattern)
-    w_runs = _parse_pattern(row.w_pattern)
+    y_runs = parse_pattern(row.y_pattern)
+    w_runs = parse_pattern(row.w_pattern)
     for n in range(n_max + 1):
         try:
-            y = word_value(bijective_word(row.base, _instantiate_pattern(y_runs, n)))
-            w = bijective_word(row.base, _instantiate_pattern(w_runs, n))
-        except (ValueError, MalformedWordError) as exc:
-            return f"n={n}: {exc}"
-        if to_bijective(y * y, row.base) != repeat_word(w, 2):
+            bijective_pattern_square(row.base, y_runs, w_runs, n)
+        except FamilyError:  # a ValueError too, so caught first
             return f"square-digits at n={n}"
+        except ValueError as exc:
+            return f"n={n}: {exc}"
     return None
 
 

@@ -18,7 +18,6 @@ instead of stalling.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -47,7 +46,6 @@ class _Deadline:
             raise FactorBudgetError("factoring budget exceeded")
 
 
-_sieve_lock = threading.Lock()
 _sieve_primes: list[int] = []
 _sieve_limit = 0
 
@@ -56,16 +54,14 @@ def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, from a cached sieve grown on demand."""
     global _sieve_primes, _sieve_limit
     if limit > _sieve_limit:
-        with _sieve_lock:
-            if limit > _sieve_limit:
-                size = max(limit, 2 * _sieve_limit, _TRIAL_LIMIT)
-                flags = bytearray([1]) * (size + 1)
-                flags[0:2] = b"\x00\x00"
-                for p in range(2, math.isqrt(size) + 1):
-                    if flags[p]:
-                        flags[p * p :: p] = bytearray(len(range(p * p, size + 1, p)))
-                _sieve_primes = [i for i in range(size + 1) if flags[i]]
-                _sieve_limit = size
+        size = max(limit, 2 * _sieve_limit, _TRIAL_LIMIT)
+        flags = bytearray([1]) * (size + 1)
+        flags[0:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(size) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytearray(len(range(p * p, size + 1, p)))
+        _sieve_primes = [i for i in range(size + 1) if flags[i]]
+        _sieve_limit = size
     if limit >= _sieve_limit:
         return _sieve_primes
     return _sieve_primes[: bisect_right(_sieve_primes, limit)]
@@ -230,14 +226,6 @@ class Factorization:
         return Factorization(tuple(sorted(merged.items())))
 
 
-def radical(f: Factorization) -> int:
-    """Product of the distinct primes; 1 for the empty factorization."""
-    v = 1
-    for p, _ in f.factors:
-        v *= p
-    return v
-
-
 _residue_primes_cache: dict[int, tuple[int, ...]] = {}
 
 
@@ -371,7 +359,6 @@ def _x_pow_minus_one(m: int) -> IntPoly:
     return IntPoly((-1,) + (0,) * (m - 1) + (1,))
 
 
-_cyclo_lock = threading.Lock()
 _cyclo_cache: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
 
 
@@ -387,9 +374,8 @@ def cyclotomic(m: int) -> IntPoly:
     for d in range(1, m):
         if m % d == 0:
             poly = poly.divexact(cyclotomic(d))
-    with _cyclo_lock:
-        _cyclo_cache.setdefault(m, poly)
-    return _cyclo_cache[m]
+    _cyclo_cache[m] = poly
+    return poly
 
 
 def divisors(m: int) -> list[int]:
@@ -403,18 +389,6 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-def cyclotomic_split(n: int, l: int) -> list[IntPoly]:
-    """Cyclotomic factors of (X**(n*l) - 1) / (X**l - 1).
-
-    These are Phi_d for the divisors d of n*l that do not divide l, in
-    increasing order of d; their product is the quotient polynomial.
-    """
-    if n < 1 or l < 1:
-        raise ValueError("n and l must be >= 1")
-    return [cyclotomic(d) for d in divisors(n * l) if l % d != 0]
-
-
-_piece_lock = threading.Lock()
 _piece_cache: dict[tuple[int, int], Factorization] = {}
 
 
@@ -438,9 +412,8 @@ def factor_quotient(
         piece = _piece_cache.get(key)
         if piece is None:
             piece = factor(cyclotomic(d)(b), budget_ms=budget_ms, residue_modulus=d)
-            with _piece_lock:
-                if len(_piece_cache) > 1_000_000:
-                    _piece_cache.clear()
-                _piece_cache[key] = piece
+            if len(_piece_cache) > 1_000_000:
+                _piece_cache.clear()
+            _piece_cache[key] = piece
         result = result * piece
     return result

@@ -489,7 +489,7 @@ def gen_bijective_square(b: int, l: int) -> tuple[int, Word]:
 _PATTERN_TOKEN = re.compile(r"\((\d+):(\d*)n(?:\+(\d+))?\)|(\d)")
 
 
-def _parse_pattern(text: str) -> list[tuple[tuple[int, ...], int, int]]:
+def parse_pattern(text: str) -> list[tuple[tuple[int, ...], int, int]]:
     """Parse e.g. '(12:3n+3)212' into (block, coef, const) runs, where
     the block repeats coef*n + const times."""
     out = []
@@ -517,6 +517,21 @@ def _instantiate_pattern(runs, n: int) -> tuple[int, ...]:
     return digits
 
 
+def bijective_pattern_square(b: int, y_runs, w_runs, n: int) -> tuple[int, Word]:
+    """(y, w) of a parsed pattern family at parameter n >= 0, verified.
+
+    Raises FamilyError unless y**2 is w w in bijective base b, and
+    ValueError when a pattern does not instantiate to a positive word.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    y = word_value(bijective_word(b, _instantiate_pattern(y_runs, n)))
+    w = bijective_word(b, _instantiate_pattern(w_runs, n))
+    if to_bijective(y * y, b) != repeat_word(w, 2):
+        raise FamilyError(f"bijective pattern square fails at base {b}, n={n}")
+    return y, w
+
+
 _bijective_rows_cache: dict[tuple[int, int], tuple[str, str]] | None = None
 
 
@@ -536,19 +551,11 @@ def bijective_family_rows() -> dict[tuple[int, int], tuple[str, str]]:
 
 def gen_bijective_table_family(b: int, row: int, n: int) -> tuple[int, Word]:
     """Instantiate one pattern-table family at parameter n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     rows = bijective_family_rows()
     if (b, row) not in rows:
         raise FamilyError(f"no bijective family for base {b} row {row}")
     y_pat, w_pat = rows[(b, row)]
-    y_digits = _instantiate_pattern(_parse_pattern(y_pat), n)
-    w_digits = _instantiate_pattern(_parse_pattern(w_pat), n)
-    y = word_value(bijective_word(b, y_digits))
-    w = bijective_word(b, w_digits)
-    if to_bijective(y * y, b) != repeat_word(w, 2):
-        raise FamilyError(f"bijective family ({b},{row}) fails at n={n}")
-    return y, w
+    return bijective_pattern_square(b, parse_pattern(y_pat), parse_pattern(w_pat), n)
 
 
 # ---------------------------------------------------------------------------

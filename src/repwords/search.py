@@ -21,7 +21,9 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 
 from .arith import ceil_root, iroot
@@ -345,22 +347,18 @@ def _ends_with_newline(path: str) -> bool:
         return fh.read(1) == b"\n"
 
 
-def _scan_bases(
-    t: Triple, lo: int, hi: int, factor_budget_ms: int | None
+def _scan_chunk(
+    t: Triple, factor_budget_ms: int | None, chunk: tuple[int, int]
 ) -> tuple[list[SolutionRecord], list[int]]:
     sols: list[SolutionRecord] = []
     unresolved: list[int] = []
+    lo, hi = chunk
     for b in range(lo, hi + 1):
         try:
             sols.extend(solutions_for_base(t, b, factor_budget_ms=factor_budget_ms))
         except FactorBudgetError:
             unresolved.append(b)
     return sols, unresolved
-
-
-def _scan_chunk(args) -> tuple[list[SolutionRecord], list[int]]:
-    t, lo, hi, budget = args
-    return _scan_bases(t, lo, hi, budget)
 
 
 def search_range(
@@ -386,7 +384,10 @@ def search_range(
         cp = load_checkpoint(checkpoint_path, expect=t)
     else:
         cp = Checkpoint(t, (), (), ())
-    gaps = cp.gaps(b_lo, b_hi)
+    chunks: list[tuple[int, int]] = []
+    for lo, hi in cp.gaps(b_lo, b_hi):
+        step = max(1, min(flush_every, (hi - lo + 1) // (4 * workers) + 1))
+        chunks += [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
     new_solutions: list[SolutionRecord] = list(cp.solutions)
     new_unresolved: list[int] = list(cp.unresolved)
     completed: list[tuple[int, int]] = list(cp.completed)
@@ -411,23 +412,12 @@ def search_range(
             appender.flush()
 
     try:
-        if workers == 1:
-            for lo, hi in gaps:
-                for start in range(lo, hi + 1, flush_every):
-                    end = min(start + flush_every - 1, hi)
-                    sols, unres = _scan_bases(t, start, end, factor_budget_ms)
-                    note(sols, unres, start, end)
-        else:
-            chunks = []
-            for lo, hi in gaps:
-                step = max(1, min(flush_every, (hi - lo + 1) // (4 * workers) + 1))
-                for start in range(lo, hi + 1, step):
-                    chunks.append((t, start, min(start + step - 1, hi), factor_budget_ms))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (_, lo, hi, _), (sols, unres) in zip(
-                    chunks, pool.map(_scan_chunk, chunks)
-                ):
-                    note(sols, unres, lo, hi)
+        # starting a pool costs more than a short scan: one worker stays in-process
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            run = pool.map if pool else map
+            scan = partial(_scan_chunk, t, factor_budget_ms)
+            for (lo, hi), (sols, unres) in zip(chunks, run(scan, chunks)):
+                note(sols, unres, lo, hi)
     finally:
         if appender:
             appender.close()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repwords.arith import QuadInt, ceil_root, iroot, quad_pow_mod, unit_order
+from repwords.arith import QuadInt, ceil_root, iroot, unit_order
 
 
 def test_iroot_exact_and_floor():
@@ -81,14 +81,6 @@ def test_quadint_ring_mismatch():
         QuadInt(1, 1, 4)  # 4 is square
     with pytest.raises(ValueError):
         QuadInt(1, 1, 1)
-
-
-def test_quad_pow_mod_matches_direct():
-    u = QuadInt(2, -1, 3)
-    m = 98
-    direct = (u**56).reduce(m)
-    assert quad_pow_mod(u, 56, m) == direct
-    assert direct == QuadInt(1, 0, 3)
 
 
 def test_unit_orders():

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line: output text and exit codes."""
 
+import csv
 import json
 
 import pytest
 
+from repwords import SolutionRecord, canonical_word, check_solution, gen_232
 from repwords.cli import main
 
 
@@ -149,6 +151,39 @@ def test_generate_jsonl(capsys):
     assert json.loads(out)["b"] == "22"
 
 
+def parse_decimal(text):
+    # int() refuses more than 4300 digits, so read 1000 at a time
+    v = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        v = v * 10 ** len(chunk) + int(chunk)
+    return v
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_generate_prints_members_of_any_size(capsys, fmt):
+    # member 46 of (2,3,2) is the first whose y has more than 4300 digits
+    code, out, err = run(
+        capsys, *f"generate --triple 2,3,2 --count 46 --format {fmt}".split()
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 46 + (fmt == "csv")
+    if fmt == "jsonl":
+        obj = json.loads(lines[-1])
+        cells, digits = [obj[k] for k in "qnlbyc"], obj["w"]
+    else:
+        *cells, word = next(csv.reader([lines[-1]]))
+        digits = word.strip("()").split(",")
+    q, n, l, b, y, c = map(parse_decimal, cells)
+    rec = SolutionRecord(
+        q, n, l, b, y, c, canonical_word(b, tuple(map(parse_decimal, digits)))
+    )
+    assert len(cells[4]) > 4300
+    assert check_solution(rec) is None
+    assert rec == gen_232(46)[-1]
+
+
 def test_generate_no_family(capsys):
     code, _, err = run(capsys, *"generate --triple 2,5,1 --count 1".split())
     assert code == 2
@@ -170,6 +205,18 @@ def test_generate_bijective(capsys):
         "b,l,y,w",
         '2,3,9,"(1,2,1)"',
         '3,3,28,"(2,3,1)"',
+    ]
+
+
+def test_generate_bijective_jsonl(capsys):
+    code, out, _ = run(
+        capsys,
+        *"generate --triple 2,2,3 --system bijective --count 2 --format jsonl".split(),
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        '{"b": "2", "l": "3", "y": "9", "w": ["1", "2", "1"]}',
+        '{"b": "3", "l": "3", "y": "28", "w": ["2", "3", "1"]}',
     ]
 
 

@@ -131,6 +131,22 @@ def test_pattern_corpus_roundtrip(tmp_path):
     assert report.ok
 
 
+def test_pattern_corpus_reports_failing_rows(tmp_path):
+    p = tmp_path / "pat.csv"
+    p.write_text(
+        "b,row,y_pattern,w_pattern\n"
+        '7,1,"(3:2n+2)4","(15:n+1)2"\n'
+        '7,2,"(3:2n+2)5","(15:n+1)2"\n'  # y perturbed: its square is no w w
+        '7,3,"(3:n)","(15:n+1)2"\n'  # y is the empty word at n = 0
+    )
+    report = verify_corpus(load_corpus(p), pattern_n_max=3)
+    assert [r.failure for r in report.results] == [
+        None,
+        "square-digits at n=0",
+        "n=0: x must be >= 1",
+    ]
+
+
 def test_tablecorpus_is_plain_data():
     c = TableCorpus("x", "solutions", (), "desc")
     assert c.rows == () and c.source == "desc"

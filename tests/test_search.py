@@ -135,6 +135,14 @@ def test_search_workers_match_serial():
     assert search_range(t, 2, 200, workers=2) == search_range(t, 2, 200)
 
 
+def test_search_workers_write_identical_checkpoints(tmp_path):
+    t = Triple(2, 2, 1)
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    search_range(t, 2, 300, str(one), workers=1)
+    search_range(t, 2, 300, str(two), workers=2)
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"range":["2","50"]}\nnot json\n')
