@@ -7,8 +7,6 @@ operation failure, 2 usage error, 3 checkpoint error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from .corpus import (
@@ -17,6 +15,8 @@ from .corpus import (
     format_report,
     load_corpus,
     verify_corpus,
+    write_records,
+    write_rows,
 )
 from .factoring import FactorBudgetError, factor_quotient
 from .families import (
@@ -34,7 +34,7 @@ from .families import (
 )
 from .search import CheckpointError, search_range
 from .triples import F_value, Triple, is_admissible
-from .words import System, Word, render_word, to_bijective, to_canonical, to_zeckendorf
+from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
 
 
 def _parse_triple(text: str) -> Triple:
@@ -45,52 +45,6 @@ def _parse_triple(text: str) -> Triple:
         return Triple(*(int(p) for p in parts))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-_SPLIT_DIGITS = 4000
-_SPLIT = 10**_SPLIT_DIGITS
-
-
-def _decimal(x: int) -> str:
-    """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
-    if x < _SPLIT:
-        return str(x)
-    hi, lo = divmod(x, _SPLIT)
-    return _decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
-
-
-def _word_cell(w: Word, fmt: str) -> str | list[str]:
-    if w.system is System.ZECKENDORF:
-        return "".join(map(str, w.digits))
-    digits = list(map(_decimal, w.digits))
-    return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
-
-
-def _write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
-    """One CSV (with header) or JSONL line per row of ints, strs and Words."""
-    lines = (
-        [
-            _decimal(v) if isinstance(v, int)
-            else _word_cell(v, fmt) if isinstance(v, Word)
-            else v
-            for v in row
-        ]
-        for row in rows
-    )
-    if fmt == "jsonl":
-        for cells in lines:
-            print(json.dumps(dict(zip(header, cells))))
-        return
-    wr = csv.writer(sys.stdout)
-    wr.writerow(header)
-    wr.writerows(lines)
-
-
-_RECORD_HEADER = ("q", "n", "l", "b", "y", "c", "w")
-
-
-def _record_rows(records) -> list[tuple]:
-    return [(r.q, r.n, r.l, r.b, r.y, r.c, r.w) for r in records]
 
 
 def _cmd_search(args) -> int:
@@ -114,7 +68,7 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_rows(_RECORD_HEADER, _record_rows(cp.solutions), args.format)
+    write_records(cp.solutions, args.format)
     for b in cp.unresolved:
         print(f"warning: base {b} unresolved (factoring budget exhausted)", file=sys.stderr)
     return 0
@@ -147,7 +101,7 @@ def _cmd_generate(args) -> int:
             )
             return 2
         rows = [(b, t.l, *gen_bijective_square(b, t.l)) for b in range(2, count + 2)]
-        _write_rows(("b", "l", "y", "w"), rows, args.format)
+        write_rows(("b", "l", "y", "w"), rows, args.format)
         return 0
 
     if args.system == "fibonacci":
@@ -155,7 +109,7 @@ def _cmd_generate(args) -> int:
             print("error: fibonacci generation needs --triple 2,2,L", file=sys.stderr)
             return 2
         rows = [(k, *gen_fibonacci_family(k)) for k in range(1, count + 1)]
-        _write_rows(("param", "y", "w"), rows, args.format)
+        write_rows(("param", "y", "w"), rows, args.format)
         return 0
 
     key = (t.q, t.n, t.l)
@@ -171,7 +125,7 @@ def _cmd_generate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _write_rows(_RECORD_HEADER, _record_rows(records), args.format)
+    write_records(records, args.format)
     return 0
 
 

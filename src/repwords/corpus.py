@@ -10,12 +10,16 @@ files stay diffable at any magnitude.  Three layouts exist:
 
 verify_corpus recomputes every row from scratch and reports the first
 violated invariant per row, never stopping at the first bad row.
+write_rows prints rows in the same cell formats, so a `repwords generate`
+CSV of any size loads back as a corpus.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +28,7 @@ from .families import FamilyError, bijective_pattern_square, parse_pattern
 from .search import SolutionRecord, check_solution
 from .words import (
     MalformedWordError,
+    System,
     Word,
     canonical_word,
     repeat_word,
@@ -75,13 +80,72 @@ class CorpusReport:
         return tuple(r for r in self.results if r.failure is not None)
 
 
+_RECORD_HEADER = ("q", "n", "l", "b", "y", "c", "w")
 _HEADERS = {
-    ("q", "n", "l", "b", "y", "c", "w"): "solutions",
+    _RECORD_HEADER: "solutions",
     ("y", "w"): "zeckendorf-squares",
     ("b", "row", "y_pattern", "w_pattern"): "bijective-patterns",
 }
 
 _WORD_CELL = re.compile(r"\(([0-9]+(?:,[0-9]+)*)\)")
+
+_SPLIT_DIGITS = 4000
+_SPLIT = 10**_SPLIT_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
+    if x < _SPLIT:
+        return str(x)
+    hi, lo = divmod(x, _SPLIT)
+    return _decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
+
+
+def _parse_decimal(text: str) -> int:
+    """Inverse of _decimal; int() alone refuses more than 4300 digits."""
+    text = text.strip()
+    if len(text) <= _SPLIT_DIGITS:
+        return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid decimal of {len(text)} characters")
+    head = len(text) % _SPLIT_DIGITS or _SPLIT_DIGITS
+    x = int(text[:head])
+    for i in range(head, len(text), _SPLIT_DIGITS):
+        x = x * _SPLIT + int(text[i : i + _SPLIT_DIGITS])
+    return x
+
+
+def _word_cell(w: Word, fmt: str) -> str | list[str]:
+    if w.system is System.ZECKENDORF:
+        return "".join(map(str, w.digits))
+    digits = list(map(_decimal, w.digits))
+    return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
+
+
+def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
+    """One CSV (with header) or JSONL line per row of ints, strs and Words."""
+    lines = (
+        [
+            _decimal(v) if isinstance(v, int)
+            else _word_cell(v, fmt) if isinstance(v, Word)
+            else v
+            for v in row
+        ]
+        for row in rows
+    )
+    if fmt == "jsonl":
+        for cells in lines:
+            print(json.dumps(dict(zip(header, cells))))
+        return
+    wr = csv.writer(sys.stdout)
+    wr.writerow(header)
+    wr.writerows(lines)
+
+
+def write_records(records, fmt: str) -> None:
+    """Solution records as write_rows rows under the q,n,l,b,y,c,w header."""
+    rows = [(r.q, r.n, r.l, r.b, r.y, r.c, r.w) for r in records]
+    write_rows(_RECORD_HEADER, rows, fmt)
 
 
 def _tables_dir():
@@ -99,11 +163,11 @@ def builtin_corpora() -> tuple[str, ...]:
 
 
 def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
-    q, n, l, b, y, c = (int(v) for v in cells[:6])
+    q, n, l, b, y, c = map(_parse_decimal, cells[:6])
     m = _WORD_CELL.fullmatch(cells[6].strip())
     if not m:
         raise MalformedCorpusError(f"{where}: bad word cell {cells[6]!r}")
-    digits = tuple(int(d) for d in m.group(1).split(","))
+    digits = tuple(map(_parse_decimal, m.group(1).split(",")))
     return SolutionRecord(q, n, l, b, y, c, canonical_word(b, digits))
 
 
@@ -119,21 +183,20 @@ def _parse_rows(kind: str, numbered, name: str):
             elif kind == "zeckendorf-squares":
                 if len(cells) != 2:
                     raise MalformedCorpusError(f"{where}: expected 2 columns")
-                y = int(cells[0])
+                y = _parse_decimal(cells[0])
                 digits = tuple(int(ch) for ch in cells[1].strip())
                 rows.append((y, zeckendorf_word(digits)))
             else:
                 if len(cells) != 4:
                     raise MalformedCorpusError(f"{where}: expected 4 columns")
-                row = PatternRow(
-                    int(cells[0]), int(cells[1]), cells[2].strip(), cells[3].strip()
-                )
+                base, number = map(_parse_decimal, cells[:2])
+                row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
                 for pat in (row.y_pattern, row.w_pattern):
                     for block, _, _ in parse_pattern(pat):
                         bad = [d for d in block if not 1 <= d <= row.base]
                         if bad:
                             raise MalformedCorpusError(
-                                f"{where}: digit {bad[0]} outside 1..{row.base}"
+                                f"{where}: digit {bad[0]} outside 1..{_decimal(row.base)}"
                             )
                 rows.append(row)
         except MalformedCorpusError:
@@ -177,7 +240,11 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
     if not numbered:
         return TableCorpus(name, "solutions", (), " ".join(comments))
 
-    parsed = list(zip((n for n, _ in numbered), csv.reader(l for _, l in numbered)))
+    old_limit = csv.field_size_limit(len(text) + 1)  # no cell outgrows its file
+    try:
+        parsed = list(zip((n for n, _ in numbered), csv.reader(l for _, l in numbered)))
+    finally:
+        csv.field_size_limit(old_limit)
     header_lineno, header = parsed[0]
     kind = _HEADERS.get(tuple(h.strip() for h in header))
     if kind is None:
@@ -212,14 +279,14 @@ def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusRepo
     results = []
     for i, row in enumerate(corpus.rows, start=1):
         if corpus.kind == "solutions":
-            label = f"q={row.q} n={row.n} l={row.l} b={row.b} y={row.y}"
+            label = " ".join(f"{k}={_decimal(getattr(row, k))}" for k in "qnlby")
             failure = check_solution(row)
         elif corpus.kind == "zeckendorf-squares":
             y, w = row
-            label = f"y={y}"
+            label = f"y={_decimal(y)}"
             failure = _check_zeckendorf_row(y, w)
         else:
-            label = f"b={row.base} row={row.row}"
+            label = f"b={_decimal(row.base)} row={_decimal(row.row)}"
             failure = _check_pattern_row(row, pattern_n_max)
         results.append(RowResult(i, label, failure))
     return CorpusReport(corpus.name, tuple(results))

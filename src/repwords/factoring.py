@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .arith import iroot
@@ -389,7 +390,9 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-_piece_cache: dict[tuple[int, int], Factorization] = {}
+# factored pieces keyed by (d, b); the oldest goes first once the bound is hit
+_PIECE_CACHE_MAX = 1_000_000
+_piece_cache: OrderedDict[tuple[int, int], Factorization] = OrderedDict()
 
 
 def factor_quotient(
@@ -412,8 +415,8 @@ def factor_quotient(
         piece = _piece_cache.get(key)
         if piece is None:
             piece = factor(cyclotomic(d)(b), budget_ms=budget_ms, residue_modulus=d)
-            if len(_piece_cache) > 1_000_000:
-                _piece_cache.clear()
+            if len(_piece_cache) >= _PIECE_CACHE_MAX:
+                _piece_cache.popitem(last=False)
             _piece_cache[key] = piece
         result = result * piece
     return result

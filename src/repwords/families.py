@@ -15,14 +15,14 @@ by iterating to the first power congruent to 1, never hard-coded.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
-from importlib import resources
 from itertools import count as _count
+from math import isqrt
 from typing import Iterator
 
-from .arith import QuadInt, unit_order
+from .arith import QuadInt, ceil_root, iroot, unit_order
+from .factoring import primes_upto
 from .search import SolutionRecord, verify_solution
 from .words import (
     Word,
@@ -138,8 +138,6 @@ def find_seed(
     and side conditions.  Printed seed values are not trusted; this
     search plus the NormFamily checks are the source of truth.
     """
-    from math import isqrt
-
     for b in range(1, bound):
         if b % b_multiple:
             continue
@@ -157,9 +155,11 @@ def find_seed(
     raise FamilyError(f"no seed with norm {target_norm} below bound {bound}")
 
 
-def _emit_verified(
-    candidates: Iterator[SolutionRecord], count: int, slack: int = 64
-) -> list[SolutionRecord]:
+# invalid candidates a family may produce before it counts as broken
+_SLACK = 64
+
+
+def _emit_verified(candidates: Iterator[SolutionRecord], count: int) -> list[SolutionRecord]:
     """Collect `count` verified records, skipping early range failures."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -172,7 +172,7 @@ def _emit_verified(
                 return out
         else:
             skipped += 1
-            if skipped > slack:
+            if skipped > _SLACK:
                 raise FamilyError("family keeps producing invalid candidates")
     raise FamilyError("family stream ended early")
 
@@ -181,14 +181,8 @@ def _rec(q: int, n: int, l: int, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(q, n, l, b, y, c, to_canonical(c, b))
 
 
-def _pell_stream() -> Iterator[QuadInt]:
-    # odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
-    u = FUNDAMENTAL_UNITS[2]
-    g = u * u
-    x = u
-    while True:
-        yield x
-        x = x * g
+# odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
+_PELL = NormFamily(2, -1, FUNDAMENTAL_UNITS[2], FUNDAMENTAL_UNITS[2], 2)
 
 
 def gen_n21(q: int, count: int) -> list[SolutionRecord]:
@@ -259,7 +253,7 @@ def gen_322(count: int) -> list[SolutionRecord]:
     """(3, 2, 2): (2 y0)**3 = 4 y0 (x**2 + 1) along 2 y0**2 = x**2 + 1."""
 
     def stream():
-        for el in _pell_stream():
+        for el in _norm_family_stream(_PELL):
             x, y0 = el.a, el.b
             if x < 2:
                 continue
@@ -307,7 +301,7 @@ def gen_241(count: int) -> list[SolutionRecord]:
     """(2, 4, 1): b = x, c = (x+1)/2, y = y0 (x+1) on 2 y0**2 = x**2 + 1."""
 
     def stream():
-        for el in _pell_stream():
+        for el in _norm_family_stream(_PELL):
             x, y0 = el.a, el.b
             if x < 2:
                 continue
@@ -332,11 +326,6 @@ def gen_422(count: int) -> list[SolutionRecord]:
     return _emit_verified(stream(), count)
 
 
-def _two_adic_split(l: int) -> tuple[int, int]:
-    t = (l & -l).bit_length() - 1
-    return l >> t, t
-
-
 def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
     """(2, 2, l): one solution per prime p == 1 mod 2**(t+1), ascending p.
 
@@ -344,13 +333,9 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
     b**(2**t) == -1 mod p**2, and builds c = m v**2, y = m v p from
     m = (b**l + 1) / p**2 and the least v with v**2 b >= p**2.
     """
-    from math import isqrt
-
-    from .factoring import primes_upto
-
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    _, t = _two_adic_split(l)
+    t = (l & -l).bit_length() - 1
     residue_mod = 2 ** (t + 1)
 
     def stream():
@@ -367,9 +352,7 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
                 m, rem = divmod(witness**l + 1, p2)
                 if rem:
                     raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")
-                v = isqrt(p2 // witness)
-                while v * v * witness < p2:
-                    v += 1
+                v = ceil_root(-(-p2 // witness), 2)
                 yield _rec(2, 2, l, witness, m * v * p, m * v * v)
             emitted_from = sieve_limit
             sieve_limit *= 2
@@ -415,10 +398,6 @@ def _base_parameters(b: int) -> tuple[int, int, int]:
     use a fixed table; from 16 upward the interval for t is longer than
     1, so the smallest suitable prime works.
     """
-    from math import isqrt
-
-    from .factoring import primes_upto
-
     if b < 16:
         p, t = _SMALL_BASE_PT[b]
         order = _order_mod(b, p * p)
@@ -436,9 +415,7 @@ def _base_parameters(b: int) -> tuple[int, int, int]:
             order = _order_mod(b, p * p)
             if order % 2:
                 continue
-            t = isqrt(isqrt(p * p // b)) + 1
-            while t**4 * b <= p * p:
-                t += 1
+            t = iroot(p * p // b, 4)[0] + 1
             if 100 * t**4 < 81 * p * p:
                 return p, order // 2, t
         limit *= 2
@@ -532,21 +509,12 @@ def bijective_pattern_square(b: int, y_runs, w_runs, n: int) -> tuple[int, Word]
     return y, w
 
 
-_bijective_rows_cache: dict[tuple[int, int], tuple[str, str]] | None = None
-
-
 def bijective_family_rows() -> dict[tuple[int, int], tuple[str, str]]:
     """The per-base square-family pattern table, keyed by (base, row)."""
-    global _bijective_rows_cache
-    if _bijective_rows_cache is None:
-        rows: dict[tuple[int, int], tuple[str, str]] = {}
-        data = resources.files("repwords.tables").joinpath("bijective_families.csv")
-        with data.open() as fh:
-            for row in csv.DictReader(r for r in fh if not r.startswith("#")):
-                key = (int(row["b"]), int(row["row"]))
-                rows[key] = (row["y_pattern"], row["w_pattern"])
-        _bijective_rows_cache = rows
-    return _bijective_rows_cache
+    from .corpus import load_corpus  # corpus imports this module
+
+    rows = load_corpus("bijective_families").rows
+    return {(r.base, r.row): (r.y_pattern, r.w_pattern) for r in rows}
 
 
 def gen_bijective_table_family(b: int, row: int, n: int) -> tuple[int, Word]:

@@ -141,11 +141,7 @@ def solutions_for_base(
     if not exact:
         raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
     c_lo, c_hi = b ** (t.l - 1), b**t.l
-    k, _ = iroot((c_lo - 1) // d + 1, t.q)
-    while k**t.q * d < c_lo:
-        k += 1
-    while k > 1 and (k - 1) ** t.q * d >= c_lo:
-        k -= 1
+    k = ceil_root(-(-c_lo // d), t.q)
     out = []
     while k**t.q * d < c_hi:
         out.append(_checked(_record(t, b, k * s, k**t.q * d), "defect scan"))
@@ -226,18 +222,18 @@ def _int(s) -> int:
     raise CheckpointError(f"expected decimal string, got {s!r}")
 
 
-def _solution_to_json(rec: SolutionRecord) -> dict:
-    return {
-        "solution": {
-            "q": str(rec.q),
-            "n": str(rec.n),
-            "l": str(rec.l),
-            "b": str(rec.b),
-            "y": str(rec.y),
-            "c": str(rec.c),
-            "w": [str(d) for d in rec.w.digits],
-        }
-    }
+def _range_line(lo: int, hi: int) -> str:
+    return json.dumps({"range": [str(lo), str(hi)]})
+
+
+def _solution_line(r: SolutionRecord) -> str:
+    fields = dict(zip("qnlbyc", map(str, (r.q, r.n, r.l, r.b, r.y, r.c))))
+    fields["w"] = list(map(str, r.w.digits))
+    return json.dumps({"solution": fields})
+
+
+def _unresolved_line(b: int) -> str:
+    return json.dumps({"unresolved": str(b)})
 
 
 def _solution_from_json(obj: dict) -> SolutionRecord:
@@ -257,12 +253,9 @@ def _solution_from_json(obj: dict) -> SolutionRecord:
 def checkpoint_lines(cp: Checkpoint) -> list[str]:
     cp = cp.normalized()
     lines = [json.dumps({"triple": [str(cp.triple.q), str(cp.triple.n), str(cp.triple.l)]})]
-    for lo, hi in cp.completed:
-        lines.append(json.dumps({"range": [str(lo), str(hi)]}))
-    for rec in cp.solutions:
-        lines.append(json.dumps(_solution_to_json(rec)))
-    for b in cp.unresolved:
-        lines.append(json.dumps({"unresolved": str(b)}))
+    lines += [_range_line(lo, hi) for lo, hi in cp.completed]
+    lines += [_solution_line(rec) for rec in cp.solutions]
+    lines += [_unresolved_line(b) for b in cp.unresolved]
     return lines
 
 
@@ -361,6 +354,10 @@ def _scan_chunk(
     return sols, unresolved
 
 
+# most bases scanned between two appends to the checkpoint
+_FLUSH_EVERY = 256
+
+
 def search_range(
     t: Triple,
     b_lo: int,
@@ -369,7 +366,6 @@ def search_range(
     *,
     workers: int = 1,
     factor_budget_ms: int | None = None,
-    flush_every: int = 256,
 ) -> Checkpoint:
     """Scan bases b_lo..b_hi, resuming from and updating the checkpoint.
 
@@ -386,7 +382,7 @@ def search_range(
         cp = Checkpoint(t, (), (), ())
     chunks: list[tuple[int, int]] = []
     for lo, hi in cp.gaps(b_lo, b_hi):
-        step = max(1, min(flush_every, (hi - lo + 1) // (4 * workers) + 1))
+        step = max(1, min(_FLUSH_EVERY, (hi - lo + 1) // (4 * workers) + 1))
         chunks += [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
     new_solutions: list[SolutionRecord] = list(cp.solutions)
     new_unresolved: list[int] = list(cp.unresolved)
@@ -405,10 +401,11 @@ def search_range(
         completed.append((lo, hi))
         if appender:
             for rec in sols:
-                appender.write(json.dumps(_solution_to_json(rec)) + "\n")
+                appender.write(_solution_line(rec) + "\n")
             for b in unres:
-                appender.write(json.dumps({"unresolved": str(b)}) + "\n")
-            appender.write(json.dumps({"range": [str(lo), str(hi)]}) + "\n")
+                appender.write(_unresolved_line(b) + "\n")
+            # last, so a kill before it leaves the chunk a gap to rescan
+            appender.write(_range_line(lo, hi) + "\n")
             appender.flush()
 
     try:

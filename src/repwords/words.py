@@ -72,17 +72,17 @@ class Word:
         if self.system is System.CANONICAL:
             if d and d[0] == 0:
                 raise MalformedWordError("leading zero in canonical word")
-            if any(x < 0 or x >= self.base for x in d):
+            if d and (min(d) < 0 or max(d) >= self.base):
                 raise MalformedWordError("canonical digit out of range")
         elif self.system is System.BIJECTIVE:
-            if any(x < 1 or x > self.base for x in d):
+            if d and (min(d) < 1 or max(d) > self.base):
                 raise MalformedWordError("bijective digit out of range")
         else:
             if d and d[0] != 1:
                 raise MalformedWordError("zeckendorf word must start with 1")
-            if any(x not in (0, 1) for x in d):
+            if not set(d) <= {0, 1}:
                 raise MalformedWordError("zeckendorf digit not a bit")
-            if any(a == 1 and b == 1 for a, b in zip(d, d[1:])):
+            if (1, 1) in zip(d, d[1:]):
                 raise MalformedWordError("adjacent 1 digits in zeckendorf word")
 
     def __len__(self) -> int:

@@ -293,6 +293,21 @@ def test_verify_malformed_corpus(capsys, tmp_path):
     assert "broken:2" in err
 
 
+def test_verify_reads_back_generate_of_any_size(capsys, tmp_path):
+    # the y of member 46 of (2,3,2) has 4331 digits, past int()'s 4300
+    code, out, _ = run(capsys, *"generate --triple 2,3,2 --count 46".split())
+    assert code == 0
+    p = tmp_path / "members.csv"
+    p.write_text(out)
+    *_, b, y, _, _ = next(csv.reader([out.splitlines()[-1]]))
+    assert len(y) == 4331
+    code, out, err = run(capsys, "verify", "--corpus", str(p))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "corpus members: 46/46 rows pass"
+    assert lines[-2] == f"ok   q=2 n=3 l=2 b={b} y={y}"
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "--corpus", "nope")
     assert code == 2

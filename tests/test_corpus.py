@@ -1,7 +1,10 @@
 """Bundled golden tables: loading, verification, malformed input."""
 
+import csv
+
 import pytest
 
+from repwords import SolutionRecord, canonical_word
 from repwords.corpus import (
     MalformedCorpusError,
     TableCorpus,
@@ -9,6 +12,7 @@ from repwords.corpus import (
     format_report,
     load_corpus,
     verify_corpus,
+    write_records,
 )
 
 EXPECTED_SIZES = {
@@ -145,6 +149,22 @@ def test_pattern_corpus_reports_failing_rows(tmp_path):
         "square-digits at n=0",
         "n=0: x must be >= 1",
     ]
+
+
+def test_written_rows_load_back_at_any_size(tmp_path, capsys):
+    # a (2,2,1) record with b = y*y - 1: its b cell has 132,001 digits, past
+    # both int()'s 4300-digit limit and csv's 131,072-character field limit
+    y = 10**66000 + 1
+    b = y * y - 1
+    rec = SolutionRecord(2, 2, 1, b, y, 1, canonical_word(b, (1,)))
+    limit = csv.field_size_limit()
+    write_records([rec], "csv")
+    p = tmp_path / "huge.csv"
+    p.write_text(capsys.readouterr().out)
+    corpus = load_corpus(p)
+    assert corpus.rows == (rec,)
+    assert verify_corpus(corpus).ok
+    assert csv.field_size_limit() == limit
 
 
 def test_tablecorpus_is_plain_data():

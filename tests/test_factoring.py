@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repwords import factoring
 from repwords.factoring import (
     FactorBudgetError,
     Factorization,
@@ -131,6 +132,21 @@ def test_cyclotomic_split_covers_quotient():
 )
 def test_factor_quotient_known(b, n, l, expect):
     assert factor_quotient(b, n, l).factors == expect
+
+
+def test_piece_cache_is_bounded(monkeypatch):
+    # past the bound the oldest piece is evicted, and results stay exact
+    from collections import OrderedDict
+
+    monkeypatch.setattr(factoring, "_PIECE_CACHE_MAX", 4)
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    for b in range(2, 40):
+        for n, l in ((2, 1), (3, 1), (2, 2), (3, 2)):
+            f = factor_quotient(b, n, l)
+            assert len(factoring._piece_cache) <= 4
+            assert f == factor((b ** (n * l) - 1) // (b**l - 1))
+    # the four pieces of base 39, in first-use order: every older one is gone
+    assert list(factoring._piece_cache) == [(2, 39), (3, 39), (4, 39), (6, 39)]
 
 
 def test_factor_quotient_matches_direct():

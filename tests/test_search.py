@@ -161,8 +161,9 @@ def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):
     write_checkpoint(str(path), Checkpoint(t, (), (), ()))
     with monkeypatch.context() as m:
         m.setattr(search, "write_checkpoint", lambda *a: sys.exit("killed"))
+        m.setattr(search, "_FLUSH_EVERY", 16)
         with pytest.raises(SystemExit):
-            search_range(t, 2, 75, str(path), flush_every=16)
+            search_range(t, 2, 75, str(path))
     appended = path.read_bytes()
     lines = appended.splitlines(keepends=True)
     assert json.loads(lines[-1]) == {"range": ["66", "75"]}
@@ -259,7 +260,7 @@ def test_fib_squares_small():
 
 
 def test_fib_squares_match_brute():
-    # cross-check the packed scan against naked encode/split on a window
+    # cross-check the shift-identity scan against naked encode/split on a window
     from repwords.words import repeat_word, split_repetition
 
     want = []

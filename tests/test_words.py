@@ -82,20 +82,36 @@ def test_to_zeckendorf(x, digits):
 
 
 def test_word_validation():
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^leading zero in canonical word$"):
         canonical_word(10, (0, 1))  # leading zero
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^canonical digit out of range$"):
         canonical_word(10, (10,))  # digit == base
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^canonical digit out of range$"):
+        canonical_word(10, (1, -1))
+    with pytest.raises(MalformedWordError, match="^bijective digit out of range$"):
         bijective_word(10, (0,))  # bijective digits start at 1
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^bijective digit out of range$"):
         bijective_word(10, (11,))
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^adjacent 1 digits in zeckendorf word$"):
         zeckendorf_word((1, 1))  # adjacent ones
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^zeckendorf word must start with 1$"):
         zeckendorf_word((0, 1))  # leading zero
-    with pytest.raises(MalformedWordError):
+    with pytest.raises(MalformedWordError, match="^zeckendorf digit not a bit$"):
+        zeckendorf_word((1, 0, 2))
+    with pytest.raises(MalformedWordError, match="^base must be >= 2, got 1$"):
         canonical_word(1, (0,))  # base too small
+    with pytest.raises(MalformedWordError, match="^zeckendorf words use base=2$"):
+        Word(System.ZECKENDORF, 3, (1,))
+    # the leading-digit check comes first, then the range, then adjacency
+    with pytest.raises(MalformedWordError, match="^leading zero in canonical word$"):
+        canonical_word(10, (0, 10))
+    with pytest.raises(MalformedWordError, match="^zeckendorf digit not a bit$"):
+        zeckendorf_word((1, 1, 2))
+    # empty and edge-of-range words are valid
+    assert canonical_word(10, ()).digits == ()
+    assert canonical_word(10, (9, 0)).digits == (9, 0)
+    assert bijective_word(10, (10, 1)).digits == (10, 1)
+    assert zeckendorf_word((1, 0, 1, 0)).digits == (1, 0, 1, 0)
 
 
 def test_repeat_and_split():
