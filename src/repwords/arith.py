@@ -114,14 +114,18 @@ class QuadInt:
         return (self.a - other.a) % m == 0 and (self.b - other.b) % m == 0
 
 
-def unit_order(u: QuadInt, m: int, cap: int = 10_000) -> int:
+# unit_order gives up past this exponent
+_ORDER_CAP = 10_000
+
+
+def unit_order(u: QuadInt, m: int) -> int:
     """Least r >= 1 with u ** r congruent to 1 mod m, for a unit u."""
     if abs(u.norm()) != 1:
         raise ValueError("order is only defined for units")
     one = QuadInt(1, 0, u.d)
     w = u.reduce(m)
-    for r in range(1, cap + 1):
+    for r in range(1, _ORDER_CAP + 1):
         if w.congruent(one, m):
             return r
         w = (w * u).reduce(m)
-    raise ValueError(f"no order found below {cap}")
+    raise ValueError(f"no order found below {_ORDER_CAP}")

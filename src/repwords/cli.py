@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .corpus import (
-    MalformedCorpusError,
     builtin_corpora,
     format_report,
     load_corpus,
@@ -149,7 +148,7 @@ def _cmd_verify(args) -> int:
             report = verify_corpus(corpus, pattern_n_max=args.pattern_n_max)
             print(format_report(report))
             failed = failed or not report.ok
-    except MalformedCorpusError as exc:
+    except ValueError as exc:  # a MalformedCorpusError or a bad --pattern-n-max
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if failed else 0
@@ -182,10 +181,14 @@ def _cmd_repr(args) -> int:
         if args.base is None or args.base < 2:
             print("error: --base must be >= 2", file=sys.stderr)
             return 2
-        if system is System.CANONICAL:
-            word = to_canonical(args.x, args.base)
-        else:
-            word = to_bijective(args.x, args.base)
+        try:
+            if system is System.CANONICAL:
+                word = to_canonical(args.x, args.base)
+            else:
+                word = to_bijective(args.x, args.base)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(render_word(word))
     return 0
 

@@ -276,6 +276,8 @@ def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
 
 def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusReport:
     """Recheck every row of a corpus, one result per row."""
+    if pattern_n_max < 0:
+        raise ValueError(f"pattern_n_max must be >= 0, got {pattern_n_max}")
     results = []
     for i, row in enumerate(corpus.rows, start=1):
         if corpus.kind == "solutions":

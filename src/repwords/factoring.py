@@ -257,33 +257,22 @@ def _factor_into(
             n //= p
         if i % 512 == 511:
             deadline.check()
-    if n == 1:
-        return
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(n):
-        # no factor up to the trial limit, so below its square n is prime
-        out[n] = out.get(n, 0) + 1
-        return
-    stack = [n]
+    # each entry (m, e) stands for m**e; every prime of m is above the
+    # trial limit, so any m below the limit's square is prime
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+        m, e = stack.pop()
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m):
+            out[m] = out.get(m, 0) + e
             continue
-        reduced = False
         for q in primes_upto(m.bit_length()):
             root, exact = iroot(m, q)
             if exact:
-                sub: dict[int, int] = {}
-                _factor_into(root, sub, deadline, trial_primes)
-                for p, e in sub.items():
-                    out[p] = out.get(p, 0) + e * q
-                reduced = True
+                stack.append((root, e * q))
                 break
-        if reduced:
-            continue
-        g = _find_factor(m, deadline)
-        stack.append(g)
-        stack.append(m // g)
+        else:
+            g = _find_factor(m, deadline)
+            stack += [(g, e), (m // g, e)]
 
 
 def factor(
@@ -331,14 +320,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             v = v * x + c
         return v
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(tuple(out))
 
     def divexact(self, other: IntPoly) -> IntPoly:
         """Quotient self / other, which must divide with zero remainder."""

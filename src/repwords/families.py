@@ -5,8 +5,9 @@ families come from explicit digit identities, the seven sporadic
 triples from orbits of a fundamental unit acting on a fixed-norm
 element of a real quadratic ring, sometimes thinned by a congruence so
 a divisibility side condition holds.  Generators build each candidate,
-then verify the full digit-string property before emitting it; members
-that fail a side inequality (only finitely many can) are skipped.
+then verify the full digit-string property before emitting it; a member
+that fails raises FamilyError.  The degenerate small members (base
+below 2) are dropped by each generator before they become candidates.
 
 Seeds are located by bounded brute force over small ring elements with
 the required norm, parity, and congruence.  Unit-power steps are found
@@ -42,6 +43,10 @@ FUNDAMENTAL_UNITS = {
     3: QuadInt(2, -1, 3),
     7: QuadInt(8, -3, 7),
 }
+
+
+# find_seed tries b = 1, 2, ... below this before it gives up
+_SEED_BOUND = 100_000
 
 
 class FamilyError(ValueError):
@@ -132,13 +137,12 @@ def find_seed(
     b_multiple: int = 1,
     a_residues: frozenset[int] | None = None,
     modulus: int = 1,
-    bound: int = 100_000,
 ) -> QuadInt:
     """Smallest (by b, then a) element of Z[sqrt(d)] with the given norm
     and side conditions.  Printed seed values are not trusted; this
     search plus the NormFamily checks are the source of truth.
     """
-    for b in range(1, bound):
+    for b in range(1, _SEED_BOUND):
         if b % b_multiple:
             continue
         t = target_norm + d * b * b
@@ -152,28 +156,20 @@ def find_seed(
         if a_residues is not None and a % modulus not in a_residues:
             continue
         return QuadInt(a, b, d)
-    raise FamilyError(f"no seed with norm {target_norm} below bound {bound}")
-
-
-# invalid candidates a family may produce before it counts as broken
-_SLACK = 64
+    raise FamilyError(f"no seed with norm {target_norm} below bound {_SEED_BOUND}")
 
 
 def _emit_verified(candidates: Iterator[SolutionRecord], count: int) -> list[SolutionRecord]:
-    """Collect `count` verified records, skipping early range failures."""
+    """The first `count` candidates; FamilyError if one fails to verify."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out: list[SolutionRecord] = []
-    skipped = 0
     for rec in candidates:
-        if verify_solution(rec):
-            out.append(rec)
-            if len(out) == count:
-                return out
-        else:
-            skipped += 1
-            if skipped > _SLACK:
-                raise FamilyError("family keeps producing invalid candidates")
+        if not verify_solution(rec):
+            raise FamilyError(f"member {len(out) + 1} of ({rec.q},{rec.n},{rec.l}) fails to verify")
+        out.append(rec)
+        if len(out) == count:
+            return out
     raise FamilyError("family stream ended early")
 
 
@@ -287,14 +283,11 @@ def gen_331(count: int) -> list[SolutionRecord]:
 
 def gen_323(count: int) -> list[SolutionRecord]:
     """(3, 2, 3): image of gen_331 under b, y, c -> b+1, y(b+2), c(b+2)**2."""
-    out = []
-    for rec in gen_331(count):
-        b2 = rec.b + 1
-        mapped = _rec(3, 2, 3, b2, rec.y * (rec.b + 2), rec.c * (rec.b + 2) ** 2)
-        if not verify_solution(mapped):
-            raise FamilyError("length-3 image of a valid member failed to verify")
-        out.append(mapped)
-    return out
+    images = (
+        _rec(3, 2, 3, r.b + 1, r.y * (r.b + 2), r.c * (r.b + 2) ** 2)
+        for r in gen_331(count)
+    )
+    return _emit_verified(images, count)
 
 
 def gen_241(count: int) -> list[SolutionRecord]:

@@ -15,7 +15,6 @@ word, every positive integer exactly one bijective word.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -194,20 +193,3 @@ def render_word(w: Word) -> str:
     body = ",".join(str(d) for d in w.digits)
     return f"({body})@{w.base}"
 
-
-_WORD_RE = re.compile(r"^\(([0-9]+(?:,[0-9]+)*)?\)@([0-9]+)$")
-
-
-def parse_word(text: str, system: System = System.CANONICAL) -> Word:
-    """Inverse of render_word for the given system."""
-    text = text.strip()
-    if system is System.ZECKENDORF:
-        if not re.fullmatch(r"[01]*", text):
-            raise MalformedWordError(f"not a bit string: {text!r}")
-        return Word(System.ZECKENDORF, 2, tuple(int(c) for c in text))
-    m = _WORD_RE.match(text)
-    if not m:
-        raise MalformedWordError(f"not a digit word: {text!r}")
-    body, base = m.group(1), int(m.group(2))
-    digits = tuple(int(p) for p in body.split(",")) if body else ()
-    return Word(system, base, digits)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repwords import arith
 from repwords.arith import QuadInt, ceil_root, iroot, unit_order
 
 
@@ -89,9 +90,10 @@ def test_unit_orders():
     assert unit_order(QuadInt(8, -3, 7), 14) == 14
 
 
-def test_unit_order_cap():
+def test_unit_order_cap(monkeypatch):
+    monkeypatch.setattr(arith, "_ORDER_CAP", 10)
     with pytest.raises(ValueError):
-        unit_order(QuadInt(2, -1, 3), 98, cap=10)
+        unit_order(QuadInt(2, -1, 3), 98)
 
 
 @given(

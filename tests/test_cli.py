@@ -285,6 +285,15 @@ def test_verify_failing_corpus(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_verify_rejects_negative_pattern_n_max(capsys):
+    code, out, err = run(
+        capsys, "verify", "--corpus", "bijective_families", "--pattern-n-max", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: pattern_n_max must be >= 0, got -1\n"
+
+
 def test_verify_malformed_corpus(capsys, tmp_path):
     p = tmp_path / "broken.csv"
     p.write_text("q,n,l,b,y,c,w\n2,3,1\n")
@@ -357,10 +366,12 @@ def test_repr_validation(capsys):
         "repr --x 5",
         "repr --x 5 --base 1",
         "repr --x 5 --base 3 --system zeckendorf",
+        "repr --x 0 --base 2 --system bijective",
     ]:
         code, _, err = run(capsys, *argv.split())
         assert code == 2, argv
         assert "error:" in err
+    assert err == "error: x must be >= 1\n"  # the bijective case, run last
 
 
 # -- argparse plumbing ------------------------------------------------------

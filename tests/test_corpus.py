@@ -135,6 +135,13 @@ def test_pattern_corpus_roundtrip(tmp_path):
     assert report.ok
 
 
+def test_pattern_n_max_must_be_nonnegative():
+    corpus = load_corpus("bijective_families")
+    with pytest.raises(ValueError, match="pattern_n_max must be >= 0"):
+        verify_corpus(corpus, pattern_n_max=-1)
+    assert verify_corpus(corpus, pattern_n_max=0).ok
+
+
 def test_pattern_corpus_reports_failing_rows(tmp_path):
     p = tmp_path / "pat.csv"
     p.write_text(

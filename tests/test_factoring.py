@@ -1,5 +1,7 @@
 """Factorization stack: primality, rho splitting, cyclotomic pieces."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +71,26 @@ def test_is_probable_prime_edges():
         assert not is_probable_prime(n)
     assert is_probable_prime(2**89 - 1)  # Mersenne prime
     assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_is_probable_prime_above_the_proven_bound():
+    # primes past 3.3e24 whose n + 1 has an odd part above 1, so the
+    # strong Lucas ladder runs over its bits
+    for p in (10**25 + 13, 10**30 + 57, (2**148 + 1) // 17):
+        assert is_probable_prime(p)
+
+
+def test_strong_lucas_matches_sieve():
+    # the strong Lucas pseudoprimes below 10**5 (OEIS A217255)
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                    40309, 58519, 75077, 97439}
+    primes = set(primes_upto(100_000))
+    wrong = {
+        n
+        for n in range(5, 100_001, 2)
+        if math.isqrt(n) ** 2 != n and factoring._strong_lucas_prp(n) != (n in primes)
+    }
+    assert wrong == pseudoprimes
 
 
 def test_perfect_power_factoring():

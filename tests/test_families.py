@@ -3,6 +3,7 @@ structural invariants along each orbit."""
 
 import pytest
 
+from repwords import families
 from repwords.arith import QuadInt
 from repwords.families import (
     FUNDAMENTAL_UNITS,
@@ -39,7 +40,8 @@ def test_find_seed():
     assert find_seed(3, -3, a_odd=True, b_multiple=2) == QuadInt(3, 2, 3)
     assert find_seed(7, -3, a_odd=True, b_multiple=14) == QuadInt(37, 14, 7)
     with pytest.raises(FamilyError):
-        find_seed(3, -5, bound=100)
+        # no a**2 == 3 b**2 - 5 exists mod 4, so the whole bound is searched
+        find_seed(3, -5)
 
 
 def test_norm_family_iter_pell():
@@ -185,6 +187,15 @@ def test_gen_bijective_square():
             assert y == b**l + 1 and len(w.digits) == l
     with pytest.raises(ValueError):
         gen_bijective_square(2, 1)
+
+
+def test_failing_member_raises(monkeypatch):
+    # a candidate that fails verification breaks the family; it is not skipped
+    third = gen_231(3)[2]
+    monkeypatch.setattr(families, "verify_solution", lambda rec: rec != third)
+    assert len(gen_231(2)) == 2
+    with pytest.raises(FamilyError, match=r"^member 3 of \(2,3,1\) fails to verify$"):
+        gen_231(3)
 
 
 def test_gen_bijective_table_rows():

@@ -1,7 +1,8 @@
-"""Package layout: no module imports another module's private names."""
+"""Package layout: no private imports across modules, and an exact __all__."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import repwords
 
@@ -21,3 +22,12 @@ def test_no_private_imports_across_modules():
                 if inside and alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_all_lists_every_public_name():
+    public = [
+        name
+        for name, value in vars(repwords).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert sorted(repwords.__all__) == sorted(public)

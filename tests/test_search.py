@@ -250,6 +250,17 @@ def test_unresolved_base_on_tiny_budget():
     assert cp.completed == ((5, 5),)
 
 
+def test_unresolved_base_in_checkpoint(tmp_path):
+    path = str(tmp_path / "cp.jsonl")
+    search_range(Triple(2, 2, 59), 5, 5, path, factor_budget_ms=1)
+    with open(path) as fh:
+        assert '{"unresolved": "5"}' in fh.read().splitlines()
+    cp = load_checkpoint(path)
+    assert cp.unresolved == (5,)
+    # an unresolved base counts as covered
+    assert (5, 5) in cp.completed
+
+
 def test_fib_squares_small():
     out = search_fib_squares(100)
     assert [(y, w.digits) for y, w in out] == [
