@@ -10,9 +10,10 @@ prunes trial division.
 The factoring core is deterministic: staged trial division, a perfect
 power reduction, Miller-Rabin with a fixed witness set (provably correct
 below 3.3e24, extended by a strong Lucas test above), and Brent's cycle
-finding with a fixed parameter schedule.  An optional wall clock budget
-aborts cleanly so long range scans can record a base as unresolved
-instead of stalling.
+finding with a fixed parameter schedule.  Pieces are cached after trial
+division, where defect_reaches reads them, and finished on demand; an
+optional wall clock budget on that aborts cleanly so long range scans
+can record a base as unresolved instead of stalling.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cache
 
 from .arith import iroot
 
@@ -40,6 +42,8 @@ class _Deadline:
     __slots__ = ("at",)
 
     def __init__(self, budget_ms: int | None):
+        if budget_ms is not None and budget_ms < 0:
+            raise ValueError(f"factoring budget must be >= 0, got {budget_ms}")
         self.at = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
     def check(self) -> None:
@@ -220,43 +224,32 @@ class Factorization:
             v *= p ** e
         return v
 
-    def __mul__(self, other: Factorization) -> Factorization:
-        merged: dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return Factorization(tuple(sorted(merged.items())))
 
-
-_residue_primes_cache: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def _residue_primes(modulus: int) -> tuple[int, ...]:
     """Primes p <= trial limit with p == 1 (mod modulus) or p | modulus."""
-    got = _residue_primes_cache.get(modulus)
-    if got is None:
-        got = tuple(
-            p
-            for p in primes_upto(_TRIAL_LIMIT)
-            if p % modulus == 1 or modulus % p == 0
-        )
-        _residue_primes_cache[modulus] = got
-    return got
+    return tuple(
+        p for p in primes_upto(_TRIAL_LIMIT) if p % modulus == 1 or modulus % p == 0
+    )
 
 
-def _factor_into(
-    n: int,
-    out: dict[int, int],
-    deadline: _Deadline,
-    trial_primes,
-) -> None:
-    for i, p in enumerate(trial_primes):
+def _trial_divide(n: int, modulus: int | None, out: dict[int, int]) -> int:
+    """Divide n by the trial primes into out; returns the cofactor.
+
+    The loop stops at p * p > n, so a cofactor below _TRIAL_LIMIT**2 is
+    1 or a prime.
+    """
+    for p in _residue_primes(max(modulus or 2, 2)):
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        if i % 512 == 511:
-            deadline.check()
+    return n
+
+
+def _finish(n: int, out: dict[int, int], deadline: _Deadline) -> None:
+    """Factor a trial-division cofactor n into out."""
     # each entry (m, e) stands for m**e; every prime of m is above the
     # trial limit, so any m below the limit's square is prime
     stack = [(n, 1)] if n > 1 else []
@@ -290,14 +283,8 @@ def factor(
     if x < 1:
         raise ValueError("x must be >= 1")
     deadline = _Deadline(budget_ms)
-    trial = (
-        _residue_primes(residue_modulus)
-        if residue_modulus and residue_modulus > 2
-        else primes_upto(_TRIAL_LIMIT)
-    )
     out: dict[int, int] = {}
-    if x > 1:
-        _factor_into(x, out, deadline, trial)
+    _finish(_trial_divide(x, residue_modulus, out), out, deadline)
     return Factorization(tuple(sorted(out.items())))
 
 
@@ -371,9 +358,32 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-# factored pieces keyed by (d, b); the oldest goes first once the bound is hit
+# trial-divided pieces keyed by (d, b): (prime powers, cofactor), the
+# cofactor 1 once fully factored; the oldest goes first at the bound
 _PIECE_CACHE_MAX = 1_000_000
-_piece_cache: OrderedDict[tuple[int, int], Factorization] = OrderedDict()
+_piece_cache: OrderedDict[tuple[int, int], tuple[tuple, int]] = OrderedDict()
+
+
+def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
+    """(d, prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if n < 1 or l < 1:
+        raise ValueError("n and l must be >= 1")
+    out = []
+    for d in divisors(n * l):
+        if l % d == 0:
+            continue
+        entry = _piece_cache.get((d, b))
+        if entry is None:
+            powers: dict[int, int] = {}
+            cofactor = _trial_divide(cyclotomic(d)(b), d, powers)
+            entry = (tuple(powers.items()), cofactor)
+            if len(_piece_cache) >= _PIECE_CACHE_MAX:
+                _piece_cache.popitem(last=False)
+            _piece_cache[(d, b)] = entry
+        out.append((d, *entry))
+    return out
 
 
 def factor_quotient(
@@ -381,23 +391,55 @@ def factor_quotient(
 ) -> Factorization:
     """Factor (b**(n*l) - 1) // (b**l - 1) piecewise via cyclotomic values.
 
-    Piece results are memoized per (d, b), so range scans that share
-    pieces across triples do not refactor them.
+    Pieces are memoized per (d, b), so range scans that share pieces
+    across triples do not refactor them.  budget_ms bounds the whole
+    call; trial division is not counted against it.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if n < 1 or l < 1:
-        raise ValueError("n and l must be >= 1")
-    result = Factorization(())
-    for d in divisors(n * l):
-        if l % d == 0:
-            continue
-        key = (d, b)
-        piece = _piece_cache.get(key)
-        if piece is None:
-            piece = factor(cyclotomic(d)(b), budget_ms=budget_ms, residue_modulus=d)
-            if len(_piece_cache) >= _PIECE_CACHE_MAX:
-                _piece_cache.popitem(last=False)
-            _piece_cache[key] = piece
-        result = result * piece
-    return result
+    pieces = _pieces(b, n, l)
+    deadline = _Deadline(budget_ms)
+    total: dict[int, int] = {}
+    for d, powers, cofactor in pieces:
+        if cofactor > 1:
+            out = dict(powers)
+            _finish(cofactor, out, deadline)
+            powers = tuple(out.items())
+            _piece_cache[(d, b)] = (powers, 1)
+        for p, e in powers:
+            total[p] = total.get(p, 0) + e
+    return Factorization(tuple(sorted(total.items())))
+
+
+def defect_reaches(b: int, n: int, l: int, q: int, limit: int) -> bool:
+    """True when the least d making d * quotient a q-th power is >= limit.
+
+    Judged from the trial-divided pieces, with no primality test or rho;
+    False only means the bound stays below limit.  Found primes and
+    cofactors below B**2 (B the trial limit; such a cofactor is prime)
+    count exactly.  A larger cofactor m has at most E primes, all above
+    B, with B**E <= m < B**(E+1): its share is at least m**((q-E)/E) if
+    E < q, else B + 1 unless m is a q-th power.  Cofactors of two pieces
+    share no prime unless it divides n*l, so this needs n*l < B.
+    """
+    if n * l >= _TRIAL_LIMIT:
+        return False
+    exps: dict[int, int] = {}
+    large = []
+    for _, powers, cofactor in _pieces(b, n, l):
+        if cofactor >= _TRIAL_LIMIT * _TRIAL_LIMIT:
+            large.append(cofactor)
+        elif cofactor > 1:
+            powers += ((cofactor, 1),)
+        for p, e in powers:
+            exps[p] = exps.get(p, 0) + e
+    bound = 1
+    for p, e in exps.items():
+        bound *= p ** (-e % q)
+    for m in large:
+        if bound >= limit:
+            return True
+        if m < _TRIAL_LIMIT**q:
+            top = max(e for e in range(2, q) if _TRIAL_LIMIT**e <= m)
+            bound *= iroot(m ** (q - top), top)[0]
+        elif not iroot(m, q)[1]:
+            bound *= _TRIAL_LIMIT + 1
+    return bound >= limit

@@ -6,9 +6,10 @@ For a triple (q, n, l) and a base b, every solution of
 
 arises as c = k**q * d where d is the defect of the factored quotient
 (the least multiplier making it a perfect q-th power) and k runs over a
-short integer interval.  That reduces a base to one factorization plus
-a handful of root extractions.  A brute-force oracle enumerating every
-c directly backs the fast path in tests.
+short integer interval.  Most bases are settled by trial division
+alone, once a lower bound on d reaches b**l; the rest take one
+factorization plus a handful of root extractions.  A brute-force
+oracle enumerating every c directly backs the fast path in tests.
 
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
@@ -27,7 +28,7 @@ from functools import partial
 from itertools import count
 
 from .arith import ceil_root, iroot
-from .factoring import Factorization, FactorBudgetError, factor_quotient
+from .factoring import Factorization, FactorBudgetError, defect_reaches, factor_quotient
 from .triples import Triple
 from .words import (
     System,
@@ -111,6 +112,12 @@ def compute_defect(f: Factorization, q: int) -> int:
     return d
 
 
+def _check_budget(factor_budget_ms: int | None) -> None:
+    # up front: a base the defect bound decides never reaches factoring
+    if factor_budget_ms is not None and factor_budget_ms < 0:
+        raise ValueError(f"factoring budget must be >= 0, got {factor_budget_ms}")
+
+
 def _record(t: Triple, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
 
@@ -129,18 +136,22 @@ def solutions_for_base(
 
     Complete and sound: c * r is a q-th power exactly when c = k**q * d,
     so scanning integer k with k**q * d inside the c-range finds every
-    solution once.  Interval endpoints come from exact root extraction
-    with a direct power check on both candidates.
+    solution once, and there is none once d >= b**l (defect_reaches).
+    Interval endpoints come from exact root extraction with a direct
+    power check on both candidates.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
+    _check_budget(factor_budget_ms)
+    c_lo, c_hi = b ** (t.l - 1), b**t.l
+    if defect_reaches(b, t.n, t.l, t.q, c_hi):
+        return []
     f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms)
     r = f.value
     d = compute_defect(f, t.q)
     s, exact = iroot(d * r, t.q)
     if not exact:
         raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
-    c_lo, c_hi = b ** (t.l - 1), b**t.l
     k = ceil_root(-(-c_lo // d), t.q)
     out = []
     while k**t.q * d < c_hi:
@@ -376,6 +387,7 @@ def search_range(
         raise ValueError("need 2 <= b_lo <= b_hi")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _check_budget(factor_budget_ms)
     if checkpoint_path and os.path.exists(checkpoint_path):
         cp = load_checkpoint(checkpoint_path, expect=t)
     else:

@@ -109,6 +109,19 @@ def test_search_unresolved_warning(capsys):
     assert "base 5 unresolved" in err
 
 
+def test_search_rejects_negative_budget(capsys, tmp_path):
+    path = tmp_path / "cp.jsonl"
+    code, out, err = run(
+        capsys,
+        *"search --q 2 --n 2 --l 59 --b-lo 5 --b-hi 5 --factor-budget -5".split(),
+        "--checkpoint",
+        str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: factoring budget must be >= 0, got -5\n"
+    assert not path.exists()
+
+
 # -- generate ---------------------------------------------------------------
 
 
@@ -337,6 +350,12 @@ def test_factor_budget_exhausted(capsys):
     code, _, err = run(capsys, *"factor --b 5 --n 2 --l 59 --budget 1".split())
     assert code == 1
     assert "error:" in err
+
+
+def test_factor_rejects_negative_budget(capsys):
+    code, out, err = run(capsys, *"factor --b 5 --n 2 --l 59 --budget -1".split())
+    assert (code, out) == (2, "")
+    assert err == "error: factoring budget must be >= 0, got -1\n"
 
 
 def test_factor_rejects_bad_base(capsys):

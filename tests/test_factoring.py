@@ -40,8 +40,6 @@ def test_factor_known(n, expect):
 def test_factorization_value_and_merge():
     f = factor(360)
     assert f.value == 360
-    g = factor(77)
-    assert (f * g).value == 360 * 77
     with pytest.raises(ValueError):
         Factorization(((3, 1), (2, 1)))  # must be sorted
     with pytest.raises(ValueError):

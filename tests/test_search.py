@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter, OrderedDict
+from math import prod
 
 import pytest
 
 import repwords
-from repwords import search
-from repwords.factoring import factor
+from repwords import factoring, search
+from repwords.factoring import factor, factor_quotient
 from repwords.search import (
     Checkpoint,
     CheckpointError,
@@ -66,6 +68,10 @@ def test_solutions_for_base_known_rows():
     assert solutions_for_base(t, 2) == []
     out = solutions_for_base(Triple(4, 2, 3), 19)
     assert [(r.y, r.w.digits) for r in out] == [(70, (9, 13, 4))]
+    # Phi_2(23) = 24 leaves the prime 3 after trial division, and 3 also
+    # divides Phi_6(23) = 3 * 13**2: the bound must merge the two
+    out = solutions_for_base(Triple(4, 2, 3), 23)
+    assert [(r.y, r.c) for r in out] == [(78, 3042)]
 
 
 def test_brute_matches_defect_scan():
@@ -73,6 +79,54 @@ def test_brute_matches_defect_scan():
         t = Triple(q, n, l)
         for b in range(2, 40):
             assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
+
+
+@pytest.mark.parametrize("q,rule", [(3, "E < q"), (4, "E < q"), (2, "not a q-th power")])
+def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
+    # Phi_5(b) for b in 100..700 leaves cofactors in [B**2, B**3), B the
+    # trial limit: E = 2, so q = 3, 4 take the E < q share and q = 2 the
+    # not-a-q-th-power share.  Each rule alone must decide some bases,
+    # and every base must agree with the oracle.
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    B, t = factoring._TRIAL_LIMIT, Triple(q, 5, 1)
+    decided = Counter()
+    for b in range(100, 701):
+        exps, large = Counter(), []
+        for _, powers, m in factoring._pieces(b, t.n, t.l):
+            exps.update(dict(powers))
+            if m >= B * B:
+                large.append(m)
+            elif m > 1:
+                exps[m] += 1
+        exact = prod(p ** (-e % q) for p, e in exps.items())
+        if large and exact < b and factoring.defect_reaches(b, t.n, t.l, q, b):
+            rules = {"E < q" if m < B**q else "not a q-th power" for m in large}
+            decided[rules.pop() if len(rules) == 1 else "both"] += 1
+        assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
+    assert decided[rule] > 0 and set(decided) == {rule}
+
+
+def test_bound_decided_bases_are_never_unresolved():
+    # every base of (2,5,2) up to 400 is decided by trial division alone,
+    # so even a zero budget leaves none unresolved
+    cp = search_range(Triple(2, 5, 2), 2, 400, factor_budget_ms=0)
+    assert cp.unresolved == ()
+    assert cp.completed == ((2, 400),)
+
+
+def test_negative_budget_rejected(tmp_path):
+    message = "factoring budget must be >= 0, got -1"
+    path = tmp_path / "cp.jsonl"
+    for call in (
+        lambda: factor(10, budget_ms=-1),
+        lambda: factor_quotient(5, 2, 1, budget_ms=-1),
+        lambda: solutions_for_base(Triple(2, 5, 2), 7, factor_budget_ms=-1),
+        lambda: search_range(Triple(2, 5, 2), 2, 9, str(path), factor_budget_ms=-1),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not path.exists()
+    assert factor(10, budget_ms=0).factors == ((2, 1), (5, 1))
 
 
 def test_brute_guard():
