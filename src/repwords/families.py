@@ -339,9 +339,12 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
                 if p < max(5, emitted_from) or (p - 1) % residue_mod:
                     continue
                 p2 = p * p
-                witness = next(
-                    b for b in range(2, p2) if pow(b, 2**t, p2) == p2 - 1
-                )
+                # (Z/p^2)* is cyclic, so for a non-residue g mod p zeta has
+                # order 2**(t+1), and the b with b**(2**t) == -1 mod p**2
+                # are exactly its odd powers
+                g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+                zeta = pow(g, (p2 - p) >> (t + 1), p2)
+                witness = min(pow(zeta, j, p2) for j in range(1, residue_mod, 2))
                 m, rem = divmod(witness**l + 1, p2)
                 if rem:
                     raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")

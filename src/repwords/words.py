@@ -11,13 +11,24 @@ digit alphabet and weights:
 
 Every nonnegative integer has exactly one canonical and one Zeckendorf
 word, every positive integer exactly one bijective word.
+
+Canonical and bijective words of any length are converted by divide and
+conquer: a number of more than about 128 digits is split by a cached
+ladder of powers of its base into machine-size leaves, and word_value
+merges K-digit limbs in pairs by the same ladder, so no step walks the
+whole number once per digit.  The bijective word of x is the canonical
+word of x - R_k, zero-padded to k digits, with 1 added to every digit,
+where R_k = (b^k - 1)/(b - 1) <= x < R_(k+1).  No conversion goes through
+str, so Python's int/str digit limit never applies.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 class System(str, Enum):
@@ -100,17 +111,85 @@ def zeckendorf_word(digits: tuple[int, ...]) -> Word:
     return Word(System.ZECKENDORF, 2, digits)
 
 
+# Radix conversion (Brent & Zimmermann, Modern Computer Arithmetic, 1.7).
+# Up to about _CUTOFF_DIGITS digits, numbers take the per-digit loop and
+# words Horner's rule.  A longer number is split top-down by the ladder
+# B, B**2, B**4, ... of its base, where B = base**K is the largest power of
+# the base below 2**62 (or the base itself), into K-digit leaves that the
+# same loop finishes; a longer word is merged up from K-digit limbs.
+_CUTOFF_DIGITS = 128
+# only numbers and words above the cutoff build a ladder, so few bases
+# ever hold one
+_LADDER_CACHE_MAX = 8
+
+
+@lru_cache(maxsize=_LADDER_CACHE_MAX)
+def _ladder(base: int) -> tuple[int, dict[int, int]]:
+    """(K, {i: B**(2**i)}), to which _rung adds the rungs a number needs."""
+    k, limb = 1, base
+    while limb * base < 1 << 62:
+        k, limb = k + 1, limb * base
+    return k, {0: limb}
+
+
+def _rung(powers: dict[int, int], i: int) -> int:
+    # each write stores the square of the rung below, so two callers that
+    # grow one ladder at once store equal values
+    for j in range(len(powers), i + 1):
+        powers[j] = powers[j - 1] ** 2
+    return powers[i]
+
+
+def _put_digits(x: int, base: int, out: list[int], width: int = 0) -> None:
+    # append the digits of x, least significant first, zero-padded to width
+    end = len(out) + width
+    while x:
+        x, r = divmod(x, base)
+        out.append(r)
+    out += [0] * (end - len(out))
+
+
+def _put_block(x: int, base: int, out: list[int], k: int, powers: dict[int, int], i: int) -> None:
+    # append exactly k * 2**i digits of x < powers[i]
+    if i:
+        hi, lo = divmod(x, powers[i - 1])
+        _put_block(lo, base, out, k, powers, i - 1)
+        _put_block(hi, base, out, k, powers, i - 1)
+    else:
+        _put_digits(x, base, out, k)
+
+
+def _digits(x: int, base: int) -> list[int]:
+    """Base-b digits of x >= 0, least significant first, no leading zero."""
+    out: list[int] = []
+    if x.bit_length() > _CUTOFF_DIGITS * base.bit_length():
+        k, powers = _ladder(base)
+        top = 0
+        while _rung(powers, top + 1) <= x:
+            top += 1
+        # x < powers[top + 1]: peel full blocks off the bottom, largest first
+        for i in range(top, -1, -1):
+            if x >= powers[i]:
+                x, lo = divmod(x, powers[i])
+                _put_block(lo, base, out, k, powers, i)
+    _put_digits(x, base, out)
+    return out
+
+
+def _horner(digits: tuple[int, ...], base: int) -> int:
+    v = 0
+    for d in digits:
+        v = v * base + d
+    return v
+
+
 def to_canonical(x: int, base: int) -> Word:
     """Base-b digit word of x, most significant first; x = 0 gives ()."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    digits: list[int] = []
-    while x:
-        x, r = divmod(x, base)
-        digits.append(r)
-    return Word(System.CANONICAL, base, tuple(reversed(digits)))
+    return Word(System.CANONICAL, base, tuple(reversed(_digits(x, base))))
 
 
 def to_bijective(x: int, base: int) -> Word:
@@ -119,15 +198,18 @@ def to_bijective(x: int, base: int) -> Word:
         raise ValueError(f"base must be >= 2, got {base}")
     if x < 1:
         raise ValueError("x must be >= 1")
-    digits: list[int] = []
-    while x:
-        x, r = divmod(x, base)
-        if r == 0:
-            # borrow: digit b in this place, one less in the next
-            r = base
-            x -= 1
-        digits.append(r)
-    return Word(System.BIJECTIVE, base, tuple(reversed(digits)))
+    # x has k digits when R_k <= x < R_(k+1) for R_k = (b**k - 1)/(b - 1),
+    # that is when b**k <= m < b**(k+1); they are those of x - R_k, plus 1
+    m = x * (base - 1) + 1
+    k = int(math.log(m, base))
+    p = base**k
+    while p > m:
+        k, p = k - 1, p // base
+    while p * base <= m:
+        k, p = k + 1, p * base
+    digits = _digits(x - (p - 1) // (base - 1), base)
+    digits += [0] * (k - len(digits))
+    return Word(System.BIJECTIVE, base, tuple([d + 1 for d in reversed(digits)]))
 
 
 def to_zeckendorf(x: int) -> Word:
@@ -155,10 +237,19 @@ def word_value(w: Word) -> int:
         if n:
             fibonacci(n + 1)
         return sum(_FIBS[n + 1 - j] for j, d in enumerate(w.digits) if d)
-    v = 0
-    for d in w.digits:
-        v = v * w.base + d
-    return v
+    base, d = w.base, w.digits
+    if len(d) <= _CUTOFF_DIGITS:
+        return _horner(d, base)
+    k, powers = _ladder(base)
+    # K-digit limbs, least significant first, then merged in pairs
+    limbs = [_horner(d[max(i - k, 0) : i], base) for i in range(len(d), 0, -k)]
+    level = 0
+    while len(limbs) > 1:
+        p = _rung(powers, level)
+        top = limbs[-1:] if len(limbs) % 2 else []
+        limbs = [lo + hi * p for lo, hi in zip(limbs[::2], limbs[1::2])] + top
+        level += 1
+    return limbs[0]
 
 
 def repeat_word(w: Word, n: int) -> Word:

@@ -26,6 +26,7 @@ from repwords.families import (
     gen_n21,
     norm_family_iter,
 )
+from repwords.factoring import primes_upto
 from repwords.search import verify_solution
 from repwords.words import repeat_word, to_bijective, to_zeckendorf, word_value
 
@@ -150,6 +151,29 @@ def test_gen_22_by_length_small():
             assert verify_solution(r)
     with pytest.raises(ValueError):
         gen_22_by_length(0, 1)
+
+
+def _scan_witness(p, t):
+    # the original linear scan for the least b with b**(2**t) == -1 mod p**2
+    p2 = p * p
+    return next(b for b in range(2, p2) if pow(b, 2**t, p2) == p2 - 1)
+
+
+def _lifted_scan_witness(p, t):
+    # the same scan over only the b whose residue mod p solves the congruence
+    # mod p, which every solution mod p**2 must
+    p2 = p * p
+    roots = [r for r in range(2, p) if pow(r, 2**t, p) == p - 1]
+    return min(b for r in roots for b in range(r, p2, p) if pow(b, 2**t, p2) == p2 - 1)
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_gen_22_by_length_witness_matches_scan(t):
+    primes = [p for p in primes_upto(3000) if p >= 5 and p % 2 ** (t + 1) == 1]
+    bases = [r.b for r in gen_22_by_length(2**t, len(primes))]
+    assert bases == [_lifted_scan_witness(p, t) for p in primes]
+    small = [p for p in primes if p < 200]
+    assert bases[: len(small)] == [_scan_witness(p, t) for p in small]
 
 
 def test_gen_22_by_base():

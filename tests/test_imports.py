@@ -1,4 +1,5 @@
-"""Package layout: no private imports across modules, and an exact __all__."""
+"""Package layout: no private imports across modules, no raised int/str
+digit limit, and an exact __all__."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,21 @@ def test_no_private_imports_across_modules():
                 for alias in node.names
                 if inside and alias.name.startswith("_")
             ]
+    assert found == []
+
+
+def test_no_module_raises_the_int_str_digit_limit():
+    # big numbers go through the package's own converters, never str()/int()
+    # past Python's digit limit, so no module may lift that limit
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "set_int_max_str_digits":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -1,8 +1,11 @@
 """Digit word encode/decode round trips and validation."""
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repwords import words
 from repwords.words import (
     MalformedWordError,
     System,
@@ -163,3 +166,95 @@ def test_bijective_distinct_up_to_bound(n, b):
     # bijectivity on an initial segment: distinct values, distinct words
     seen = {to_bijective(x, b).digits for x in range(1, n + 1)}
     assert len(seen) == n
+
+
+# naive per-digit references for the radix converter
+def naive_canonical(x, b):
+    digits = []
+    while x:
+        x, r = divmod(x, b)
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
+def naive_bijective(x, b):
+    digits = []
+    while x:
+        x, r = divmod(x, b)
+        if r == 0:
+            r, x = b, x - 1
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
+BIG_BASE = 2**64 + 13
+
+
+@st.composite
+def base_and_value(draw, lo):
+    # up to 3,000 digits, so both sides of the converter's cutoff are drawn
+    b = draw(st.one_of(st.integers(min_value=2, max_value=10**6), st.just(BIG_BASE)))
+    n = draw(st.integers(min_value=0, max_value=3000))
+    return b, draw(st.integers(min_value=lo, max_value=max(lo, b**n - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_and_value(0))
+def test_canonical_matches_naive(bx):
+    b, x = bx
+    w = to_canonical(x, b)
+    assert w.digits == naive_canonical(x, b)
+    assert word_value(w) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(base_and_value(1))
+def test_bijective_matches_naive(bx):
+    b, x = bx
+    w = to_bijective(x, b)
+    assert w.digits == naive_bijective(x, b)
+    assert word_value(w) == x
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 12400, 10**6, BIG_BASE])
+def test_converters_at_length_boundaries(b):
+    for k in (1, 2, 5, 127, 128, 129, 300, 1000):
+        r_k = (b**k - 1) // (b - 1)  # the least value of a k-digit bijective word
+        for x in (r_k - 1, r_k, r_k + 1, b**k - 1, b**k):
+            c = to_canonical(x, b)
+            assert c.digits == naive_canonical(x, b)
+            assert word_value(c) == x
+            if x >= 1:
+                w = to_bijective(x, b)
+                assert w.digits == naive_bijective(x, b)
+                assert word_value(w) == x
+        assert len(to_bijective(r_k, b)) == k and len(to_bijective(r_k + b**k, b)) == k + 1
+
+
+def test_converters_at_100k_digits():
+    # a random 500-digit word repeated 200 times is c * (b**100000 - 1) / (b**500 - 1)
+    b = 10
+    rng = random.Random(100_000)
+    repunit = (b**100_000 - 1) // (b**500 - 1)
+    c = to_canonical(rng.randrange(b**499, b**500), b)
+    assert to_canonical(word_value(c) * repunit, b) == repeat_word(c, 200)
+    w = bijective_word(b, tuple(rng.randrange(1, b + 1) for _ in range(500)))
+    x = word_value(w) * repunit
+    assert to_bijective(x, b) == repeat_word(w, 200)
+    assert word_value(repeat_word(w, 200)) == x
+
+
+def test_ladder_cache_is_bounded():
+    # numbers below the cutoff never build a ladder; larger ones keep at most
+    # _LADDER_CACHE_MAX of them, and the results stay exact past the bound
+    words._ladder.cache_clear()
+    for b in range(2, 2000):
+        x = b**50 + 1
+        assert word_value(to_canonical(x, b)) == x
+        assert word_value(to_bijective(x, b)) == x
+    assert words._ladder.cache_info().currsize == 0
+    for b in range(2, 40):
+        x = b**300 + 1
+        assert to_canonical(x, b).digits == (1,) + (0,) * 299 + (1,)
+        assert words._ladder.cache_info().currsize <= words._LADDER_CACHE_MAX
+    assert words._ladder.cache_info().currsize == words._LADDER_CACHE_MAX
