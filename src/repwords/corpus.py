@@ -8,8 +8,12 @@ files stay diffable at any magnitude.  Three layouts exist:
   y,w                      Zeckendorf squares, w a bit word
   b,row,y_pattern,w_pattern   parametric bijective families
 
+A pattern cell is a bijective digit word linear in a parameter n >= 0:
+a digit stands for itself and (block:kn+m) for the digit block repeated
+k*n + m times, so '(3:2n+2)4' is 3 written 2n+2 times, then 4.
 verify_corpus recomputes every row from scratch and reports the first
-violated invariant per row, never stopping at the first bad row.
+violated invariant per row, never stopping at the first bad row; a
+pattern row is checked at every n up to pattern_n_max.
 write_rows prints rows in the same cell formats, so a `repwords generate`
 CSV of any size loads back as a corpus.
 """
@@ -24,15 +28,17 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .families import FamilyError, bijective_pattern_square, parse_pattern
 from .search import SolutionRecord, check_solution
 from .words import (
     MalformedWordError,
     System,
     Word,
+    bijective_word,
     canonical_word,
     repeat_word,
+    to_bijective,
     to_zeckendorf,
+    word_value,
     zeckendorf_word,
 )
 
@@ -88,6 +94,7 @@ _HEADERS = {
 }
 
 _WORD_CELL = re.compile(r"\(([0-9]+(?:,[0-9]+)*)\)")
+_PATTERN_TOKEN = re.compile(r"\((\d+):(\d*)n(?:\+(\d+))?\)|(\d)")
 
 _SPLIT_DIGITS = 4000
 _SPLIT = 10**_SPLIT_DIGITS
@@ -120,6 +127,34 @@ def _word_cell(w: Word, fmt: str) -> str | list[str]:
         return "".join(map(str, w.digits))
     digits = list(map(_decimal, w.digits))
     return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
+
+
+def parse_pattern(text: str) -> list[tuple[tuple[int, ...], int, int]]:
+    """Parse e.g. '(12:3n+3)212' into (block, coef, const) runs, where
+    the block repeats coef*n + const times."""
+    out = []
+    pos = 0
+    for m in _PATTERN_TOKEN.finditer(text):
+        if m.start() != pos:
+            raise ValueError(f"bad pattern {text!r} at offset {pos}")
+        pos = m.end()
+        if m.group(4) is not None:
+            out.append(((int(m.group(4)),), 0, 1))
+        else:
+            block = tuple(int(ch) for ch in m.group(1))
+            coef = int(m.group(2)) if m.group(2) else 1
+            const = int(m.group(3)) if m.group(3) else 0
+            out.append((block, coef, const))
+    if pos != len(text):
+        raise ValueError(f"bad pattern {text!r} at offset {pos}")
+    return out
+
+
+def _instantiate_pattern(b: int, runs, n: int) -> Word:
+    digits: tuple[int, ...] = ()
+    for block, coef, const in runs:
+        digits += block * (coef * n + const)
+    return bijective_word(b, digits)
 
 
 def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
@@ -266,11 +301,13 @@ def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
     w_runs = parse_pattern(row.w_pattern)
     for n in range(n_max + 1):
         try:
-            bijective_pattern_square(row.base, y_runs, w_runs, n)
-        except FamilyError:  # a ValueError too, so caught first
-            return f"square-digits at n={n}"
-        except ValueError as exc:
+            y = word_value(_instantiate_pattern(row.base, y_runs, n))
+            w = _instantiate_pattern(row.base, w_runs, n)
+            square = to_bijective(y * y, row.base)
+        except ValueError as exc:  # y is the empty word, or a digit is outside 1..b
             return f"n={n}: {exc}"
+        if square != repeat_word(w, 2):
+            return f"square-digits at n={n}"
     return None
 
 

@@ -233,13 +233,14 @@ def _residue_primes(modulus: int) -> tuple[int, ...]:
     )
 
 
-def _trial_divide(n: int, modulus: int | None, out: dict[int, int]) -> int:
-    """Divide n by the trial primes into out; returns the cofactor.
+def _trial_divide(n: int, modulus: int, out: dict[int, int]) -> int:
+    """Divide n by the trial primes of _residue_primes(modulus) into out;
+    returns the cofactor.  Modulus 2 selects every prime.
 
     The loop stops at p * p > n, so a cofactor below _TRIAL_LIMIT**2 is
     1 or a prime.
     """
-    for p in _residue_primes(max(modulus or 2, 2)):
+    for p in _residue_primes(modulus):
         if p * p > n:
             break
         while n % p == 0:
@@ -268,23 +269,13 @@ def _finish(n: int, out: dict[int, int], deadline: _Deadline) -> None:
             stack += [(g, e), (m // g, e)]
 
 
-def factor(
-    x: int,
-    *,
-    budget_ms: int | None = None,
-    residue_modulus: int | None = None,
-) -> Factorization:
-    """Full prime factorization of x >= 1.
-
-    residue_modulus restricts trial division to primes p with
-    p == 1 (mod m) or p | m; sound only when every prime factor of x is
-    known to satisfy that, as cyclotomic values do.
-    """
+def factor(x: int, *, budget_ms: int | None = None) -> Factorization:
+    """Full prime factorization of x >= 1."""
     if x < 1:
         raise ValueError("x must be >= 1")
     deadline = _Deadline(budget_ms)
     out: dict[int, int] = {}
-    _finish(_trial_divide(x, residue_modulus, out), out, deadline)
+    _finish(_trial_divide(x, 2, out), out, deadline)
     return Factorization(tuple(sorted(out.items())))
 
 
@@ -364,6 +355,12 @@ _PIECE_CACHE_MAX = 1_000_000
 _piece_cache: OrderedDict[tuple[int, int], tuple[tuple, int]] = OrderedDict()
 
 
+@cache
+def _piece_orders(n: int, l: int) -> tuple[int, ...]:
+    """The d | n*l with d not dividing l: Phi_d(b) is a piece of the quotient."""
+    return tuple(d for d in divisors(n * l) if l % d)
+
+
 def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
     """(d, prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
     if b < 2:
@@ -371,9 +368,7 @@ def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
     if n < 1 or l < 1:
         raise ValueError("n and l must be >= 1")
     out = []
-    for d in divisors(n * l):
-        if l % d == 0:
-            continue
+    for d in _piece_orders(n, l):
         entry = _piece_cache.get((d, b))
         if entry is None:
             powers: dict[int, int] = {}

@@ -8,6 +8,9 @@ a divisibility side condition holds.  Generators build each candidate,
 then verify the full digit-string property before emitting it; a member
 that fails raises FamilyError.  The degenerate small members (base
 below 2) are dropped by each generator before they become candidates.
+The bijective and Zeckendorf square families are one construction each,
+checked digit for digit; the bundled table of bijective pattern families
+is read and checked by corpus, which owns its format.
 
 Seeds are located by bounded brute force over small ring elements with
 the required norm, parity, and congruence.  Unit-power steps are found
@@ -16,13 +19,12 @@ by iterating to the first power congruent to 1, never hard-coded.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import count as _count
 from math import isqrt
 from typing import Iterator
 
-from .arith import QuadInt, ceil_root, iroot, unit_order
+from .arith import QuadInt, ceil_root, unit_order
 from .factoring import primes_upto
 from .search import SolutionRecord, verify_solution
 from .words import (
@@ -33,7 +35,6 @@ from .words import (
     to_bijective,
     to_canonical,
     to_zeckendorf,
-    word_value,
     zeckendorf_word,
 )
 
@@ -356,91 +357,6 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
     return _emit_verified(stream(), count)
 
 
-_SMALL_BASE_PT = {
-    2: (5, 2),
-    3: (5, 2),
-    4: (5, 2),
-    5: (7, 2),
-    6: (7, 2),
-    7: (5, 2),
-    8: (5, 2),
-    9: (5, 2),
-    10: (7, 2),
-    11: (13, 3),
-    12: (5, 2),
-    13: (5, 2),
-    14: (5, 2),
-    15: (13, 3),
-}
-
-_SMALL_BASE_E = {2: 10, 3: 10, 4: 5}
-
-
-def _order_mod(b: int, m: int) -> int:
-    v = b % m
-    x = v
-    for r in range(1, m + 1):
-        if x == 1:
-            return r
-        x = x * v % m
-    raise ArithmeticError("not a unit")
-
-
-def _base_parameters(b: int) -> tuple[int, int, int]:
-    """(p, e, t) for the fixed-base square family at base b.
-
-    p is a prime >= 5 modulo whose square b has even order 2e, and t is
-    an integer with t**4 b > p**2 and 100 t**4 < 81 p**2.  Small bases
-    use a fixed table; from 16 upward the interval for t is longer than
-    1, so the smallest suitable prime works.
-    """
-    if b < 16:
-        p, t = _SMALL_BASE_PT[b]
-        order = _order_mod(b, p * p)
-        if order % 2:
-            raise FamilyError(f"base {b}: order mod {p}**2 is odd")
-        e = order // 2
-        if b in _SMALL_BASE_E and e != _SMALL_BASE_E[b]:
-            raise FamilyError(f"base {b}: expected half-order {_SMALL_BASE_E[b]}")
-        return p, e, t
-    limit = 64
-    while True:
-        for p in primes_upto(limit):
-            if p < 5 or b % p == 0:
-                continue
-            order = _order_mod(b, p * p)
-            if order % 2:
-                continue
-            t = iroot(p * p // b, 4)[0] + 1
-            if 100 * t**4 < 81 * p * p:
-                return p, order // 2, t
-        limit *= 2
-
-
-def gen_22_by_base(b: int, count: int) -> list[SolutionRecord]:
-    """(2, 2, r*e) solutions at a fixed base b, one per odd r = 1, 3, 5, ...
-
-    With b of order 2e mod p**2, b**(re) == -1 mod p**2 for odd r, and
-    c = (t**4/p**2)(b**(re) + 1), y = (t**2/p)(b**(re) + 1) square to a
-    two-fold repetition of the re-digit word of c.
-    """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    p, e, t = _base_parameters(b)
-    p2 = p * p
-
-    def stream():
-        r = 1
-        while True:
-            block = b ** (r * e) + 1
-            if block % p2:
-                raise FamilyError(f"p^2 = {p2} does not divide {b}^{r * e} + 1")
-            yield _rec(2, 2, r * e, b, t * t * (block // p), t**4 * (block // p2))
-            r += 2
-
-    return _emit_verified(stream(), count)
-
-
 # ---------------------------------------------------------------------------
 # bijective families
 
@@ -457,69 +373,6 @@ def gen_bijective_square(b: int, l: int) -> tuple[int, Word]:
     if to_bijective(y * y, b) != repeat_word(w, 2):
         raise FamilyError("square template failed to verify")
     return y, w
-
-
-_PATTERN_TOKEN = re.compile(r"\((\d+):(\d*)n(?:\+(\d+))?\)|(\d)")
-
-
-def parse_pattern(text: str) -> list[tuple[tuple[int, ...], int, int]]:
-    """Parse e.g. '(12:3n+3)212' into (block, coef, const) runs, where
-    the block repeats coef*n + const times."""
-    out = []
-    pos = 0
-    for m in _PATTERN_TOKEN.finditer(text):
-        if m.start() != pos:
-            raise ValueError(f"bad pattern {text!r} at offset {pos}")
-        pos = m.end()
-        if m.group(4) is not None:
-            out.append(((int(m.group(4)),), 0, 1))
-        else:
-            block = tuple(int(ch) for ch in m.group(1))
-            coef = int(m.group(2)) if m.group(2) else 1
-            const = int(m.group(3)) if m.group(3) else 0
-            out.append((block, coef, const))
-    if pos != len(text):
-        raise ValueError(f"bad pattern {text!r} at offset {pos}")
-    return out
-
-
-def _instantiate_pattern(runs, n: int) -> tuple[int, ...]:
-    digits: tuple[int, ...] = ()
-    for block, coef, const in runs:
-        digits += block * (coef * n + const)
-    return digits
-
-
-def bijective_pattern_square(b: int, y_runs, w_runs, n: int) -> tuple[int, Word]:
-    """(y, w) of a parsed pattern family at parameter n >= 0, verified.
-
-    Raises FamilyError unless y**2 is w w in bijective base b, and
-    ValueError when a pattern does not instantiate to a positive word.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    y = word_value(bijective_word(b, _instantiate_pattern(y_runs, n)))
-    w = bijective_word(b, _instantiate_pattern(w_runs, n))
-    if to_bijective(y * y, b) != repeat_word(w, 2):
-        raise FamilyError(f"bijective pattern square fails at base {b}, n={n}")
-    return y, w
-
-
-def bijective_family_rows() -> dict[tuple[int, int], tuple[str, str]]:
-    """The per-base square-family pattern table, keyed by (base, row)."""
-    from .corpus import load_corpus  # corpus imports this module
-
-    rows = load_corpus("bijective_families").rows
-    return {(r.base, r.row): (r.y_pattern, r.w_pattern) for r in rows}
-
-
-def gen_bijective_table_family(b: int, row: int, n: int) -> tuple[int, Word]:
-    """Instantiate one pattern-table family at parameter n >= 0."""
-    rows = bijective_family_rows()
-    if (b, row) not in rows:
-        raise FamilyError(f"no bijective family for base {b} row {row}")
-    y_pat, w_pat = rows[(b, row)]
-    return bijective_pattern_square(b, parse_pattern(y_pat), parse_pattern(w_pat), n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +401,3 @@ def gen_fibonacci_family(n: int) -> tuple[int, Word]:
         raise FamilyError(f"square family fails at n={n}")
     return y, w
 
-
-def gen_fibonacci_family2(n: int) -> tuple[int, Word]:
-    """Second Zeckendorf square family: y has digit word (100)**(4n+2)
-    followed by 101000."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    y = word_value(zeckendorf_word((1, 0, 0) * (4 * n + 2) + (1, 0, 1, 0, 0, 0)))
-    digits = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0) * n + (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0)
-    w = zeckendorf_word(digits)
-    if to_zeckendorf(y * y) != repeat_word(w, 2):
-        raise FamilyError(f"second square family fails at n={n}")
-    return y, w

@@ -89,10 +89,10 @@ def check_solution(rec: SolutionRecord) -> str | None:
         return "word-value"
     if not rec.b ** (rec.l - 1) <= rec.c < rec.b**rec.l:
         return "c-range"
-    r = (rec.b ** (rec.n * rec.l) - 1) // (rec.b**rec.l - 1)
-    if rec.y**rec.q != rec.c * r:
+    v = rec.y**rec.q
+    if v * (rec.b**rec.l - 1) != rec.c * (rec.b ** (rec.n * rec.l) - 1):
         return "power-equation"
-    if to_canonical(rec.y**rec.q, rec.b) != repeat_word(rec.w, rec.n):
+    if to_canonical(v, rec.b) != repeat_word(rec.w, rec.n):
         return "digit-string"
     return None
 

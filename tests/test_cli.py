@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repwords import SolutionRecord, canonical_word, check_solution, gen_232
+from repwords import SolutionRecord, Triple, canonical_word, check_solution, gen_232, is_admissible
 from repwords.cli import main
 
 
@@ -201,6 +201,15 @@ def test_generate_no_family(capsys):
     code, _, err = run(capsys, *"generate --triple 2,5,1 --count 1".split())
     assert code == 2
     assert "no infinite family" in err
+
+
+@pytest.mark.parametrize("q", range(2, 7))
+def test_generate_exists_exactly_for_admissible_triples(capsys, q):
+    # the generate verb and the classifier hold the same family rule
+    for n in range(2, 6):
+        for l in range(1, 5):
+            code, _, _ = run(capsys, "generate", "--triple", f"{q},{n},{l}", "--count", "1")
+            assert code == (0 if is_admissible(Triple(q, n, l)) else 2), (q, n, l)
 
 
 def test_generate_count_must_be_positive(capsys):

@@ -10,7 +10,6 @@ from repwords.families import (
     FamilyError,
     NormFamily,
     find_seed,
-    gen_22_by_base,
     gen_22_by_length,
     gen_231,
     gen_232,
@@ -20,15 +19,13 @@ from repwords.families import (
     gen_331,
     gen_422,
     gen_bijective_square,
-    gen_bijective_table_family,
     gen_fibonacci_family,
-    gen_fibonacci_family2,
     gen_n21,
     norm_family_iter,
 )
 from repwords.factoring import primes_upto
 from repwords.search import verify_solution
-from repwords.words import repeat_word, to_bijective, to_zeckendorf, word_value
+from repwords.words import repeat_word, to_zeckendorf
 
 
 def test_fundamental_units_have_unit_norm():
@@ -176,28 +173,9 @@ def test_gen_22_by_length_witness_matches_scan(t):
     assert bases[: len(small)] == [_scan_witness(p, t) for p in small]
 
 
-def test_gen_22_by_base():
-    ys = [r.y for r in gen_22_by_base(2, 2)]
-    assert ys[0] == 820  # first constructed member at base 2
-    for b in range(2, 20):
-        for r in gen_22_by_base(b, 2):
-            assert r.b == b
-            assert verify_solution(r)
-    # word length is always an odd multiple of the half-order
-    rows = gen_22_by_base(7, 3)
-    assert [r.l for r in rows] == [2, 6, 10]
-
-
-def test_gen_22_by_base_large_base_branch():
-    for b in (16, 100, 3600):
-        for r in gen_22_by_base(b, 2):
-            assert verify_solution(r)
-
-
 def test_gen_22_deep_members_verify():
     # emission already verifies; this pins the 25-member contract visibly
     assert len(gen_22_by_length(2, 25)) == 25
-    assert len(gen_22_by_base(5, 25)) == 25
 
 
 def test_gen_bijective_square():
@@ -222,27 +200,6 @@ def test_failing_member_raises(monkeypatch):
         gen_231(3)
 
 
-def test_gen_bijective_table_rows():
-    y, w = gen_bijective_table_family(7, 1, 0)
-    assert y == 172 and w.digits == (1, 5, 2)
-    assert word_value(to_bijective(172 * 172, 7)) == 172 * 172
-    y, w = gen_bijective_table_family(8, 1, 0)
-    assert to_bijective(y, 8).digits == (5, 2, 6)
-    with pytest.raises(FamilyError):
-        gen_bijective_table_family(2, 9, 0)
-    with pytest.raises(ValueError):
-        gen_bijective_table_family(7, 1, -1)
-
-
-def test_gen_bijective_table_deep():
-    from repwords.families import bijective_family_rows
-
-    for b, row in bijective_family_rows():
-        for n in (0, 1, 7, 20):
-            y, w = gen_bijective_table_family(b, row, n)
-            assert to_bijective(y * y, b) == repeat_word(w, 2)
-
-
 def test_gen_fibonacci_family():
     y, w = gen_fibonacci_family(1)
     assert y == 5236
@@ -255,17 +212,6 @@ def test_gen_fibonacci_family():
         assert len(w.digits) == 8 * n + 10
     with pytest.raises(ValueError):
         gen_fibonacci_family(0)
-
-
-def test_gen_fibonacci_family2():
-    y, w = gen_fibonacci_family2(1)
-    assert y == 98210
-    assert "".join(map(str, w.digits)) == "100100000000100100000010"
-    for n in range(1, 30):
-        y, w = gen_fibonacci_family2(n)
-        assert to_zeckendorf(y * y) == repeat_word(w, 2)
-    with pytest.raises(ValueError):
-        gen_fibonacci_family2(0)
 
 
 def test_family_members_found_by_search():

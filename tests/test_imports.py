@@ -1,7 +1,9 @@
-"""Package layout: no private imports across modules, no raised int/str
-digit limit, and an exact __all__."""
+"""Package layout: no private imports across modules, imports only at
+module level in an acyclic module graph, no raised int/str digit limit, and
+an exact __all__."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from types import ModuleType
 
@@ -23,6 +25,44 @@ def test_no_private_imports_across_modules():
                 if inside and alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
+def _package_imports(path):
+    """Modules of the package that one source file imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "repwords" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            names |= {base} | {f"{base}.{a.name}" for a in node.names}
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    return {n.split(".")[1] for n in names if n.startswith("repwords.")} & modules
+
+
+def test_module_imports_are_acyclic():
+    graph = {path.stem: _package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    cycle = None
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
 
 
 def test_no_module_raises_the_int_str_digit_limit():
