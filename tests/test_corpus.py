@@ -4,15 +4,13 @@ import csv
 
 import pytest
 
-from repwords import SolutionRecord, canonical_word, repeat_word, to_bijective, word_value
+from repwords import SolutionRecord, canonical_word
 from repwords.corpus import (
     MalformedCorpusError,
     TableCorpus,
-    _instantiate_pattern,
     builtin_corpora,
     format_report,
     load_corpus,
-    parse_pattern,
     verify_corpus,
     write_records,
 )
@@ -135,23 +133,6 @@ def test_pattern_corpus_roundtrip(tmp_path):
     p.write_text('b,row,y_pattern,w_pattern\n7,1,"(3:2n+2)4","(15:n+1)2"\n')
     report = verify_corpus(load_corpus(p), pattern_n_max=3)
     assert report.ok
-
-
-def test_pattern_cells_instantiate():
-    rows = {(r.base, r.row): r for r in load_corpus("bijective_families").rows}
-    row = rows[7, 1]
-    y_runs = parse_pattern(row.y_pattern)
-    assert y_runs == [((3,), 2, 2), ((4,), 0, 1)]
-    y = word_value(_instantiate_pattern(7, y_runs, 0))
-    w = _instantiate_pattern(7, parse_pattern(row.w_pattern), 0)
-    assert y == 172 and w.digits == (1, 5, 2)
-    assert to_bijective(y * y, 7) == repeat_word(w, 2)
-    assert _instantiate_pattern(8, parse_pattern(rows[8, 1].y_pattern), 0).digits == (5, 2, 6)
-    with pytest.raises(ValueError, match="bad pattern"):
-        parse_pattern("(3:2n+2")
-    # every bundled family holds well past the default verify depth of the tests
-    report = verify_corpus(load_corpus("bijective_families"), pattern_n_max=20)
-    assert report.ok, format_report(report)
 
 
 def test_pattern_n_max_must_be_nonnegative():

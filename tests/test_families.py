@@ -5,6 +5,13 @@ import pytest
 
 from repwords import families
 from repwords.arith import QuadInt
+from repwords.corpus import (
+    _instantiate_pattern,
+    format_report,
+    load_corpus,
+    parse_pattern,
+    verify_corpus,
+)
 from repwords.families import (
     FUNDAMENTAL_UNITS,
     FamilyError,
@@ -25,7 +32,7 @@ from repwords.families import (
 )
 from repwords.factoring import primes_upto
 from repwords.search import verify_solution
-from repwords.words import repeat_word, to_zeckendorf
+from repwords.words import repeat_word, to_bijective, to_zeckendorf, word_value
 
 
 def test_fundamental_units_have_unit_norm():
@@ -198,6 +205,38 @@ def test_failing_member_raises(monkeypatch):
     assert len(gen_231(2)) == 2
     with pytest.raises(FamilyError, match=r"^member 3 of \(2,3,1\) fails to verify$"):
         gen_231(3)
+
+
+def _bijective_rows():
+    # the bijective square families are pattern rows of the bundled corpus
+    return {(r.base, r.row): r for r in load_corpus("bijective_families").rows}
+
+
+def _bijective_member(row, n):
+    y = word_value(_instantiate_pattern(row.base, parse_pattern(row.y_pattern), n))
+    return y, _instantiate_pattern(row.base, parse_pattern(row.w_pattern), n)
+
+
+def test_gen_bijective_table_rows():
+    rows = _bijective_rows()
+    assert parse_pattern(rows[7, 1].y_pattern) == [((3,), 2, 2), ((4,), 0, 1)]
+    y, w = _bijective_member(rows[7, 1], 0)
+    assert y == 172 and w.digits == (1, 5, 2)
+    assert word_value(to_bijective(172 * 172, 7)) == 172 * 172
+    y, w = _bijective_member(rows[8, 1], 0)
+    assert to_bijective(y, 8).digits == (5, 2, 6)
+    with pytest.raises(ValueError, match="bad pattern"):
+        parse_pattern("(3:2n+2")
+
+
+def test_gen_bijective_table_deep():
+    for row in _bijective_rows().values():
+        for n in (0, 1, 7, 20):
+            y, w = _bijective_member(row, n)
+            assert to_bijective(y * y, row.base) == repeat_word(w, 2)
+    # every bundled family holds at every n up to 20, well past the tests' default depth
+    report = verify_corpus(load_corpus("bijective_families"), pattern_n_max=20)
+    assert report.ok, format_report(report)
 
 
 def test_gen_fibonacci_family():
