@@ -18,21 +18,9 @@ from .corpus import (
     write_rows,
 )
 from .factoring import FactorBudgetError, factor_quotient
-from .families import (
-    gen_22_by_length,
-    gen_231,
-    gen_232,
-    gen_241,
-    gen_322,
-    gen_323,
-    gen_331,
-    gen_422,
-    gen_bijective_square,
-    gen_fibonacci_family,
-    gen_n21,
-)
+from .families import family, gen_bijective_square, gen_fibonacci_family, is_admissible
 from .search import CheckpointError, search_range
-from .triples import F_value, Triple, is_admissible
+from .triples import F_value, Triple
 from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
 
 
@@ -73,17 +61,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-_TRIPLE_GENERATORS = {
-    (2, 3, 1): gen_231,
-    (2, 3, 2): gen_232,
-    (3, 2, 2): gen_322,
-    (3, 2, 3): gen_323,
-    (3, 3, 1): gen_331,
-    (2, 4, 1): gen_241,
-    (4, 2, 2): gen_422,
-}
-
-
 def _cmd_generate(args) -> int:
     t: Triple = args.triple
     count = args.count
@@ -111,20 +88,14 @@ def _cmd_generate(args) -> int:
         write_rows(("param", "y", "w"), rows, args.format)
         return 0
 
-    key = (t.q, t.n, t.l)
-    if (t.q, t.n) == (2, 2):
-        records = gen_22_by_length(t.l, count)
-    elif key in _TRIPLE_GENERATORS:
-        records = _TRIPLE_GENERATORS[key](count)
-    elif (t.n, t.l) == (2, 1):
-        records = gen_n21(t.q, count)
-    else:
+    generate = family(t)
+    if generate is None:
         print(
             f"error: no infinite family exists for triple {t.q},{t.n},{t.l}",
             file=sys.stderr,
         )
         return 2
-    write_records(records, args.format)
+    write_records(generate(count), args.format)
     return 0
 
 

@@ -35,6 +35,8 @@ from .words import (
     Word,
     bijective_word,
     canonical_word,
+    format_decimal,
+    parse_decimal,
     repeat_word,
     to_bijective,
     to_zeckendorf,
@@ -96,36 +98,10 @@ _HEADERS = {
 _WORD_CELL = re.compile(r"\(([0-9]+(?:,[0-9]+)*)\)")
 _PATTERN_TOKEN = re.compile(r"\((\d+):(\d*)n(?:\+(\d+))?\)|(\d)")
 
-_SPLIT_DIGITS = 4000
-_SPLIT = 10**_SPLIT_DIGITS
-
-
-def _decimal(x: int) -> str:
-    """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
-    if x < _SPLIT:
-        return str(x)
-    hi, lo = divmod(x, _SPLIT)
-    return _decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
-
-
-def _parse_decimal(text: str) -> int:
-    """Inverse of _decimal; int() alone refuses more than 4300 digits."""
-    text = text.strip()
-    if len(text) <= _SPLIT_DIGITS:
-        return int(text)
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"invalid decimal of {len(text)} characters")
-    head = len(text) % _SPLIT_DIGITS or _SPLIT_DIGITS
-    x = int(text[:head])
-    for i in range(head, len(text), _SPLIT_DIGITS):
-        x = x * _SPLIT + int(text[i : i + _SPLIT_DIGITS])
-    return x
-
-
 def _word_cell(w: Word, fmt: str) -> str | list[str]:
     if w.system is System.ZECKENDORF:
         return "".join(map(str, w.digits))
-    digits = list(map(_decimal, w.digits))
+    digits = list(map(format_decimal, w.digits))
     return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
 
 
@@ -161,7 +137,7 @@ def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
     """One CSV (with header) or JSONL line per row of ints, strs and Words."""
     lines = (
         [
-            _decimal(v) if isinstance(v, int)
+            format_decimal(v) if isinstance(v, int)
             else _word_cell(v, fmt) if isinstance(v, Word)
             else v
             for v in row
@@ -198,11 +174,11 @@ def builtin_corpora() -> tuple[str, ...]:
 
 
 def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
-    q, n, l, b, y, c = map(_parse_decimal, cells[:6])
+    q, n, l, b, y, c = map(parse_decimal, cells[:6])
     m = _WORD_CELL.fullmatch(cells[6].strip())
     if not m:
         raise MalformedCorpusError(f"{where}: bad word cell {cells[6]!r}")
-    digits = tuple(map(_parse_decimal, m.group(1).split(",")))
+    digits = tuple(map(parse_decimal, m.group(1).split(",")))
     return SolutionRecord(q, n, l, b, y, c, canonical_word(b, digits))
 
 
@@ -218,20 +194,20 @@ def _parse_rows(kind: str, numbered, name: str):
             elif kind == "zeckendorf-squares":
                 if len(cells) != 2:
                     raise MalformedCorpusError(f"{where}: expected 2 columns")
-                y = _parse_decimal(cells[0])
+                y = parse_decimal(cells[0])
                 digits = tuple(int(ch) for ch in cells[1].strip())
                 rows.append((y, zeckendorf_word(digits)))
             else:
                 if len(cells) != 4:
                     raise MalformedCorpusError(f"{where}: expected 4 columns")
-                base, number = map(_parse_decimal, cells[:2])
+                base, number = map(parse_decimal, cells[:2])
                 row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
                 for pat in (row.y_pattern, row.w_pattern):
                     for block, _, _ in parse_pattern(pat):
                         bad = [d for d in block if not 1 <= d <= row.base]
                         if bad:
                             raise MalformedCorpusError(
-                                f"{where}: digit {bad[0]} outside 1..{_decimal(row.base)}"
+                                f"{where}: digit {bad[0]} outside 1..{format_decimal(row.base)}"
                             )
                 rows.append(row)
         except MalformedCorpusError:
@@ -318,14 +294,14 @@ def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusRepo
     results = []
     for i, row in enumerate(corpus.rows, start=1):
         if corpus.kind == "solutions":
-            label = " ".join(f"{k}={_decimal(getattr(row, k))}" for k in "qnlby")
+            label = " ".join(f"{k}={format_decimal(getattr(row, k))}" for k in "qnlby")
             failure = check_solution(row)
         elif corpus.kind == "zeckendorf-squares":
             y, w = row
-            label = f"y={_decimal(y)}"
+            label = f"y={format_decimal(y)}"
             failure = _check_zeckendorf_row(y, w)
         else:
-            label = f"b={_decimal(row.base)} row={_decimal(row.row)}"
+            label = f"b={format_decimal(row.base)} row={format_decimal(row.row)}"
             failure = _check_pattern_row(row, pattern_n_max)
         results.append(RowResult(i, label, failure))
     return CorpusReport(corpus.name, tuple(results))

@@ -38,12 +38,17 @@ class FactorBudgetError(RuntimeError):
     """Raised when a factorization exceeds its wall clock budget."""
 
 
+def check_budget(budget_ms: int | None) -> None:
+    """ValueError unless budget_ms is None (no budget) or >= 0."""
+    if budget_ms is not None and budget_ms < 0:
+        raise ValueError(f"factoring budget must be >= 0, got {budget_ms}")
+
+
 class _Deadline:
     __slots__ = ("at",)
 
     def __init__(self, budget_ms: int | None):
-        if budget_ms is not None and budget_ms < 0:
-            raise ValueError(f"factoring budget must be >= 0, got {budget_ms}")
+        check_budget(budget_ms)
         self.at = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
 
     def check(self) -> None:

@@ -1,13 +1,16 @@
 """Infinite families of repeated-word powers, one generator per triple.
 
-Each admissible triple has a parametric construction: the two-repetition
-families come from explicit digit identities, the seven sporadic
-triples from orbits of a fundamental unit acting on a fixed-norm
-element of a real quadratic ring, sometimes thinned by a congruence so
-a divisibility side condition holds.  Generators build each candidate,
-then verify the full digit-string property before emitting it; a member
-that fails raises FamilyError.  The degenerate small members (base
-below 2) are dropped by each generator before they become candidates.
+family(t) is the one catalogue: a triple is admissible exactly when it
+has a family, and the admissible triples are (2, 2, l) for every l,
+(q, 2, 1) for every q, and the seven sporadic triples (2,3,1), (2,3,2),
+(3,2,2), (3,2,3), (3,3,1), (2,4,1), (4,2,2).  The two-repetition families
+come from explicit digit identities, the sporadic ones from orbits of a
+fundamental unit acting on a fixed-norm element of a real quadratic
+ring, sometimes thinned by a congruence so a divisibility side condition
+holds.  Generators build each candidate, then verify the full
+digit-string property before emitting it; a member that fails raises
+FamilyError.  The degenerate small members (base below 2) are dropped by
+each generator before they become candidates.
 The bijective and Zeckendorf square families are one construction each,
 checked digit for digit; the bundled table of bijective pattern families
 is read and checked by corpus, which owns its format.
@@ -20,13 +23,15 @@ by iterating to the first power congruent to 1, never hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count as _count
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .arith import QuadInt, ceil_root, unit_order
 from .factoring import primes_upto
 from .search import SolutionRecord, verify_solution
+from .triples import Triple
 from .words import (
     Word,
     bijective_word,
@@ -355,6 +360,32 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
             sieve_limit *= 2
 
     return _emit_verified(stream(), count)
+
+
+# a dict: benchmark tracing rebinds generators held in module-level dicts
+_SPORADIC_FAMILIES = {
+    (2, 3, 1): gen_231,
+    (2, 3, 2): gen_232,
+    (3, 2, 2): gen_322,
+    (3, 2, 3): gen_323,
+    (3, 3, 1): gen_331,
+    (2, 4, 1): gen_241,
+    (4, 2, 2): gen_422,
+}
+
+
+def family(t: Triple) -> Callable[[int], list[SolutionRecord]] | None:
+    """Generator of t's infinite family, called with a count; None if none."""
+    if (t.q, t.n) == (2, 2):
+        return partial(gen_22_by_length, t.l)
+    if (t.n, t.l) == (2, 1):
+        return partial(gen_n21, t.q)
+    return _SPORADIC_FAMILIES.get((t.q, t.n, t.l))
+
+
+def is_admissible(t: Triple) -> bool:
+    """Whether t has an infinite family; F_value(t) < 0 exactly then."""
+    return family(t) is not None
 
 
 # ---------------------------------------------------------------------------

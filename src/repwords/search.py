@@ -28,12 +28,20 @@ from functools import partial
 from itertools import count
 
 from .arith import ceil_root, iroot
-from .factoring import Factorization, FactorBudgetError, defect_reaches, factor_quotient
+from .factoring import (
+    Factorization,
+    FactorBudgetError,
+    check_budget,
+    defect_reaches,
+    factor_quotient,
+)
 from .triples import Triple
 from .words import (
     System,
     Word,
     fibonacci,
+    format_decimal,
+    parse_decimal,
     repeat_word,
     split_repetition,
     to_canonical,
@@ -112,12 +120,6 @@ def compute_defect(f: Factorization, q: int) -> int:
     return d
 
 
-def _check_budget(factor_budget_ms: int | None) -> None:
-    # up front: a base the defect bound decides never reaches factoring
-    if factor_budget_ms is not None and factor_budget_ms < 0:
-        raise ValueError(f"factoring budget must be >= 0, got {factor_budget_ms}")
-
-
 def _record(t: Triple, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
 
@@ -142,7 +144,8 @@ def solutions_for_base(
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    _check_budget(factor_budget_ms)
+    # up front: a base the defect bound decides never reaches factoring
+    check_budget(factor_budget_ms)
     c_lo, c_hi = b ** (t.l - 1), b**t.l
     if defect_reaches(b, t.n, t.l, t.q, c_hi):
         return []
@@ -229,41 +232,33 @@ class Checkpoint:
 
 def _int(s) -> int:
     if isinstance(s, str):
-        return int(s, 10)
+        return parse_decimal(s)
     raise CheckpointError(f"expected decimal string, got {s!r}")
 
 
 def _range_line(lo: int, hi: int) -> str:
-    return json.dumps({"range": [str(lo), str(hi)]})
+    return json.dumps({"range": [format_decimal(lo), format_decimal(hi)]})
 
 
 def _solution_line(r: SolutionRecord) -> str:
-    fields = dict(zip("qnlbyc", map(str, (r.q, r.n, r.l, r.b, r.y, r.c))))
-    fields["w"] = list(map(str, r.w.digits))
+    fields = dict(zip("qnlbyc", map(format_decimal, (r.q, r.n, r.l, r.b, r.y, r.c))))
+    fields["w"] = list(map(format_decimal, r.w.digits))
     return json.dumps({"solution": fields})
 
 
 def _unresolved_line(b: int) -> str:
-    return json.dumps({"unresolved": str(b)})
+    return json.dumps({"unresolved": format_decimal(b)})
 
 
 def _solution_from_json(obj: dict) -> SolutionRecord:
-    b = _int(obj["b"])
-    digits = tuple(_int(d) for d in obj["w"])
-    return SolutionRecord(
-        _int(obj["q"]),
-        _int(obj["n"]),
-        _int(obj["l"]),
-        b,
-        _int(obj["y"]),
-        _int(obj["c"]),
-        Word(System.CANONICAL, b, digits),
-    )
+    q, n, l, b, y, c = (_int(obj[k]) for k in "qnlbyc")
+    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(map(_int, obj["w"]))))
 
 
 def checkpoint_lines(cp: Checkpoint) -> list[str]:
     cp = cp.normalized()
-    lines = [json.dumps({"triple": [str(cp.triple.q), str(cp.triple.n), str(cp.triple.l)]})]
+    t = cp.triple
+    lines = [json.dumps({"triple": list(map(format_decimal, (t.q, t.n, t.l)))})]
     lines += [_range_line(lo, hi) for lo, hi in cp.completed]
     lines += [_solution_line(rec) for rec in cp.solutions]
     lines += [_unresolved_line(b) for b in cp.unresolved]
@@ -387,7 +382,7 @@ def search_range(
         raise ValueError("need 2 <= b_lo <= b_hi")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    _check_budget(factor_budget_ms)
+    check_budget(factor_budget_ms)
     if checkpoint_path and os.path.exists(checkpoint_path):
         cp = load_checkpoint(checkpoint_path, expect=t)
     else:

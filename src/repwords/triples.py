@@ -1,26 +1,16 @@
-"""Exponent/repetition/length triples (q, n, l) and their classification.
+"""Exponent/repetition/length triples (q, n, l) and their sign witness.
 
-A triple is admissible when the repeated-word power equation is not
-ruled out for it.  The admissible set is exactly:
-
-* q = 2, n = 2 with any length l
-* n = 2, l = 1 with any exponent q
-* the seven sporadic triples (2,3,1), (2,3,2), (3,2,2), (3,2,3),
-  (3,3,1), (2,4,1), (4,2,2)
-
-Everything else is inadmissible, and the sign of the exact rational
-bound F(q, n, l) = (24/25)nl - 1 - nl/q - l separates the two classes:
-F < 0 on every admissible triple, F > 0 on every inadmissible one.
+A triple is admissible when it has an infinite family of solutions;
+families.family holds that catalogue.  The sign of the exact rational
+bound F(q, n, l) = (24/25)nl - 1 - nl/q - l separates the classes
+independently of it: F < 0 on every admissible triple, F > 0 on every
+inadmissible one, which under abc has only finitely many solutions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-_SPORADIC = frozenset(
-    [(2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3), (3, 3, 1), (2, 4, 1), (4, 2, 2)]
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -38,14 +28,6 @@ class Triple:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.l < 1:
             raise ValueError(f"l must be >= 1, got {self.l}")
-
-
-def is_admissible(t: Triple) -> bool:
-    if t.q == 2 and t.n == 2:
-        return True
-    if t.n == 2 and t.l == 1:
-        return True
-    return (t.q, t.n, t.l) in _SPORADIC
 
 
 def F_value(t: Triple) -> Fraction:

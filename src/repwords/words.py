@@ -19,7 +19,8 @@ merges K-digit limbs in pairs by the same ladder, so no step walks the
 whole number once per digit.  The bijective word of x is the canonical
 word of x - R_k, zero-padded to k digits, with 1 added to every digit,
 where R_k = (b^k - 1)/(b - 1) <= x < R_(k+1).  No conversion goes through
-str, so Python's int/str digit limit never applies.
+str, so Python's int/str digit limit never applies; decimal text, the cell
+format of tables and checkpoints, is converted in 4,000-digit chunks.
 """
 
 from __future__ import annotations
@@ -275,6 +276,33 @@ def split_repetition(w: Word, n: int) -> Word | None:
     if w.digits != u * n:
         return None
     return Word(w.system, w.base, u)
+
+
+_SPLIT_DIGITS = 4000
+_SPLIT = 10**_SPLIT_DIGITS
+
+
+def format_decimal(x: int) -> str:
+    """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
+    if x < _SPLIT:
+        return str(x)
+    hi, lo = divmod(x, _SPLIT)
+    return format_decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
+
+
+def parse_decimal(text: str) -> int:
+    """Inverse of format_decimal: ASCII digits only, surrounding whitespace
+    ignored, at any length; int() alone refuses more than 4300 digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid decimal {text[:32]!r} ({len(text)} characters)")
+    if len(text) <= _SPLIT_DIGITS:
+        return int(text)
+    head = len(text) % _SPLIT_DIGITS or _SPLIT_DIGITS
+    x = int(text[:head])
+    for i in range(head, len(text), _SPLIT_DIGITS):
+        x = x * _SPLIT + int(text[i : i + _SPLIT_DIGITS])
+    return x
 
 
 def render_word(w: Word) -> str:

@@ -6,6 +6,7 @@ them) and then asserts, so the suite doubles as a report and a gate.
 
 from itertools import product
 
+from repwords import is_admissible
 from repwords.corpus import builtin_corpora, format_report, load_corpus, verify_corpus
 from repwords.families import (
     gen_231,
@@ -23,7 +24,7 @@ from repwords.search import (
     search_range,
     solutions_for_base,
 )
-from repwords.triples import F_value, Triple, is_admissible
+from repwords.triples import F_value, Triple
 from repwords.words import Word
 
 

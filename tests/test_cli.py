@@ -212,6 +212,18 @@ def test_generate_exists_exactly_for_admissible_triples(capsys, q):
             assert code == (0 if is_admissible(Triple(q, n, l)) else 2), (q, n, l)
 
 
+@pytest.mark.parametrize("q", range(2, 7))
+def test_generate_rows_carry_the_requested_triple(capsys, q):
+    # a generator filed under the wrong triple would still exit 0
+    for n in range(2, 6):
+        for l in range(1, 5):
+            argv = ["generate", "--triple", f"{q},{n},{l}", "--count", "2", "--format", "jsonl"]
+            code, out, _ = run(capsys, *argv)
+            rows = [json.loads(line) for line in out.splitlines()]
+            assert len(rows) == (2 if code == 0 else 0), (q, n, l)
+            assert all((r["q"], r["n"], r["l"]) == (str(q), str(n), str(l)) for r in rows)
+
+
 def test_generate_count_must_be_positive(capsys):
     code, _, err = run(capsys, *"generate --triple 2,3,1 --count 0".split())
     assert code == 2

@@ -105,6 +105,16 @@ def test_malformed_inputs(tmp_path):
         load_corpus("definitely_not_bundled")
 
 
+@pytest.mark.parametrize("bad", ["1_000", "+12", "\u0661\u0662", "-5"])
+def test_integer_cells_are_ascii_digits_at_any_length(tmp_path, bad):
+    # int() takes each of these up to 4,300 digits and refuses it past them
+    p = tmp_path / "bad.csv"
+    for text in (bad, bad[:-1] + bad[-1] * 4001):
+        p.write_text(f"q,n,l,b,y,c,w\n2,3,1,18,{text},7,(7)\n", encoding="utf-8")
+        with pytest.raises(MalformedCorpusError, match="bad:2"):
+            load_corpus(p)
+
+
 def test_word_digits_must_fit_base(tmp_path):
     p = tmp_path / "badword.csv"
     p.write_text("q,n,l,b,y,c,w\n2,3,1,18,49,19,(19)\n")

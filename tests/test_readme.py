@@ -1,0 +1,64 @@
+"""The README's examples run as written: every command of its CLI block
+exits 0, and every value its comments promise is what the code gives."""
+
+import ast
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repwords.cli import main
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def _block(heading, lang):
+    """Lines of the first ```lang block after a '## heading' line."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def _commands():
+    # join backslash-continued lines into one command each
+    text = "\n".join(_block("CLI", "sh")).replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in text.splitlines() if line.strip()]
+
+
+def test_cli_block_is_found():
+    commands = _commands()
+    assert len(commands) >= 10
+    assert all(argv[0] == "repwords" for argv in commands)
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=" ".join)
+def test_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv[1:])
+    err = capsys.readouterr().err
+    assert code == 0, err
+
+
+def test_classify_example_prints_its_comment(capsys):
+    line = next(l for l in _block("CLI", "sh") if l.startswith("repwords classify"))
+    command, comment = line.split("#", 1)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out.strip() == comment.strip()
+
+
+def test_library_example_values():
+    # each expression line's comment is the repr of its value
+    namespace = {}
+    checked = []
+    for line in _block("Library", "python"):
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        try:
+            tree = ast.parse(code.strip(), mode="eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(compile(tree, "README", "eval"), namespace)
+        assert repr(value) == comment.strip(), code
+        checked.append(comment.strip())
+    assert checked == ["25", "(22, 39, 3)", "(3, 3, 3)"]

@@ -14,6 +14,7 @@ import pytest
 import repwords
 from repwords import factoring, search
 from repwords.factoring import factor, factor_quotient
+from repwords.families import gen_232
 from repwords.search import (
     Checkpoint,
     CheckpointError,
@@ -205,6 +206,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text('{"range":[2,50]}\n')  # bare ints violate the schema
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("bad", ["1_000", "+12", "\u0661\u0662", "-5"])
+def test_checkpoint_integers_are_ascii_digits_at_any_length(tmp_path, bad):
+    # int() takes each of these up to 4,300 digits and refuses it past them
+    path = tmp_path / "bad.jsonl"
+    for text in (bad, bad[:-1] + bad[-1] * 4001):
+        lines = [{"triple": ["2", "3", "1"]}, {"unresolved": text}]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        with pytest.raises(CheckpointError, match="bad.jsonl:2:"):
+            load_checkpoint(str(path))
+
+
+def test_checkpoint_holds_records_of_any_size(tmp_path):
+    # member 46 of (2,3,2) has a 4,331-digit y, past str()'s digit limit
+    rec = gen_232(46)[-1]
+    cp = Checkpoint(rec.triple, ((rec.b, rec.b),), (rec,), ())
+    path = str(tmp_path / "cp.jsonl")
+    write_checkpoint(path, cp)
+    assert load_checkpoint(path, expect=rec.triple) == cp
 
 
 def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):

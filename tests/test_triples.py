@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from repwords.triples import F_value, Triple, is_admissible
+from repwords import is_admissible
+from repwords.triples import F_value, Triple
 
 SPORADIC = [(2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3), (3, 3, 1), (2, 4, 1), (4, 2, 2)]
 
