@@ -96,7 +96,7 @@ _HEADERS = {
 }
 
 _WORD_CELL = re.compile(r"\(([0-9]+(?:,[0-9]+)*)\)")
-_PATTERN_TOKEN = re.compile(r"\((\d+):(\d*)n(?:\+(\d+))?\)|(\d)")
+_PATTERN_TOKEN = re.compile(r"\(([0-9]+):([0-9]*)n(?:\+([0-9]+))?\)|([0-9])")
 
 def _word_cell(w: Word, fmt: str) -> str | list[str]:
     if w.system is System.ZECKENDORF:
@@ -195,7 +195,10 @@ def _parse_rows(kind: str, numbered, name: str):
                 if len(cells) != 2:
                     raise MalformedCorpusError(f"{where}: expected 2 columns")
                 y = parse_decimal(cells[0])
-                digits = tuple(int(ch) for ch in cells[1].strip())
+                bits = cells[1].strip()
+                if not bits.isascii():
+                    raise MalformedCorpusError(f"{where}: bad word cell {cells[1]!r}")
+                digits = tuple(int(ch) for ch in bits)
                 rows.append((y, zeckendorf_word(digits)))
             else:
                 if len(cells) != 4:

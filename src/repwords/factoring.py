@@ -3,15 +3,20 @@
 The repunit-like quotient (b**(n*l) - 1) // (b**l - 1) splits as the
 product of cyclotomic polynomial values Phi_d(b) over the divisors d of
 n*l that do not divide l.  Factoring the small pieces instead of the
-full quotient keeps the numbers near their square roots, and the prime
-divisors of Phi_d(b) are known to satisfy p == 1 (mod d) or p | d, which
-prunes trial division.
+full quotient keeps the numbers near their square roots.  A prime p
+not dividing d divides Phi_d(b) exactly when b is a primitive d-th root
+of unity mod p, so p == 1 (mod d); for d = p**k * m with p not dividing
+m, exactly when b is a primitive m-th root.  sieve_pieces uses this to
+strip the small primes from the pieces of a whole range of bases at
+once: one strided pass per (p, root) instead of a trial division per
+base, the residue structure of the Cunningham tables (Brillhart et al.,
+Factorizations of b^n +- 1).
 
-The factoring core is deterministic: staged trial division, a perfect
-power reduction, Miller-Rabin with a fixed witness set (provably correct
-below 3.3e24, extended by a strong Lucas test above), and Brent's cycle
-finding with a fixed parameter schedule.  Pieces are cached after trial
-division, where defect_reaches reads them, and finished on demand; an
+The factoring core is deterministic: trial division (for factor), a
+perfect power reduction, Miller-Rabin with a fixed witness set (provably
+correct below 3.3e24, extended by a strong Lucas test above), and Brent's
+cycle finding with a fixed parameter schedule.  Pieces are cached after
+sieving, where defect_reaches reads them, and finished on demand; an
 optional wall clock budget on that aborts cleanly so long range scans
 can record a base as unresolved instead of stalling.
 """
@@ -230,22 +235,14 @@ class Factorization:
         return v
 
 
-@cache
-def _residue_primes(modulus: int) -> tuple[int, ...]:
-    """Primes p <= trial limit with p == 1 (mod modulus) or p | modulus."""
-    return tuple(
-        p for p in primes_upto(_TRIAL_LIMIT) if p % modulus == 1 or modulus % p == 0
-    )
-
-
-def _trial_divide(n: int, modulus: int, out: dict[int, int]) -> int:
-    """Divide n by the trial primes of _residue_primes(modulus) into out;
-    returns the cofactor.  Modulus 2 selects every prime.
+def _trial_divide(n: int, out: dict[int, int]) -> int:
+    """Divide n by the primes up to the trial limit into out; returns the
+    cofactor.
 
     The loop stops at p * p > n, so a cofactor below _TRIAL_LIMIT**2 is
     1 or a prime.
     """
-    for p in _residue_primes(modulus):
+    for p in primes_upto(_TRIAL_LIMIT):
         if p * p > n:
             break
         while n % p == 0:
@@ -280,7 +277,7 @@ def factor(x: int, *, budget_ms: int | None = None) -> Factorization:
         raise ValueError("x must be >= 1")
     deadline = _Deadline(budget_ms)
     out: dict[int, int] = {}
-    _finish(_trial_divide(x, 2, out), out, deadline)
+    _finish(_trial_divide(x, out), out, deadline)
     return Factorization(tuple(sorted(out.items())))
 
 
@@ -354,8 +351,8 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-# trial-divided pieces keyed by (d, b): (prime powers, cofactor), the
-# cofactor 1 once fully factored; the oldest goes first at the bound
+# sieved pieces keyed by (d, b): (prime powers, cofactor), the cofactor 1
+# once fully factored; the oldest goes first at the bound
 _PIECE_CACHE_MAX = 1_000_000
 _piece_cache: OrderedDict[tuple[int, int], tuple[tuple, int]] = OrderedDict()
 
@@ -366,36 +363,124 @@ def _piece_orders(n: int, l: int) -> tuple[int, ...]:
     return tuple(d for d in divisors(n * l) if l % d)
 
 
-def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
-    """(d, prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
+@cache
+def _residue_primes(d: int) -> tuple[int, ...]:
+    """Primes p <= trial limit with p == 1 (mod d) or p | d: the only
+    primes below it that can divide a value of Phi_d."""
+    return tuple(p for p in primes_upto(_TRIAL_LIMIT) if p % d == 1 or d % p == 0)
+
+
+def _unit_roots(m: int, p: int) -> tuple[int, ...]:
+    """The residues of multiplicative order exactly m mod the prime p."""
+    if m == 1:
+        return (1,)
+    if (p - 1) % m:
+        return ()
+    # the units mod p are cyclic, so some x**((p-1)/m) has order exactly m
+    for x in range(2, p):
+        h = pow(x, (p - 1) // m, p)
+        powers = [h]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * h % p)
+        if len(powers) == m:
+            return tuple(sorted(powers[k - 1] for k in range(1, m) if math.gcd(k, m) == 1))
+    raise AssertionError(f"no unit of order {m} mod {p}")
+
+
+# d -> [(p, roots), ...] over a prefix of _residue_primes(d), grown on demand
+_root_tables: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+
+
+def _residue_roots(d: int, limit: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(p, roots) for the primes p <= limit of _residue_primes(d), where p
+    divides Phi_d(b) exactly when b mod p is in roots.
+
+    For p not dividing d the roots are the primitive d-th roots of unity
+    mod p.  For d = p**k * m with p not dividing m, Phi_d is Phi_m to a
+    power mod p, so they are the primitive m-th roots.
+    """
+    primes = _residue_primes(d)
+    table = _root_tables.setdefault(d, [])
+    k = bisect_right(primes, limit)
+    for p in primes[len(table) : k]:
+        m = d
+        while m % p == 0:
+            m //= p
+        table.append((p, _unit_roots(m, p)))
+    return table[:k]
+
+
+def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[list[tuple[int, tuple, int]]]:
+    """For each base b in lo..hi, (d, prime powers, cofactor) of each
+    piece Phi_d(b) of the quotient.
+
+    Each (d, b) is looked up once in the piece cache.  Only the missing
+    values are evaluated and sieved: for each prime p <= min(B,
+    isqrt(Phi_d(b_max))) of _residue_primes(d) (B the trial limit, b_max
+    the largest missing base) and each of its roots r, the bases
+    b == r (mod p) are divided by p fully.  Every prime of what is left
+    exceeds that bound, so a cofactor below B**2 is 1 or a prime.
+    """
+    if lo < 2:
+        raise ValueError(f"base must be >= 2, got {lo}")
     if n < 1 or l < 1:
         raise ValueError("n and l must be >= 1")
-    out = []
+    bases = range(lo, hi + 1)
+    rows: list[list[tuple[int, tuple, int]]] = [[] for _ in bases]
     for d in _piece_orders(n, l):
-        entry = _piece_cache.get((d, b))
-        if entry is None:
-            powers: dict[int, int] = {}
-            cofactor = _trial_divide(cyclotomic(d)(b), d, powers)
-            entry = (tuple(powers.items()), cofactor)
+        entries = [_piece_cache.get((d, b)) for b in bases]
+        if None in entries:
+            _sieve(d, lo, entries)
+        for row, entry in zip(rows, entries):
+            row.append((d, *entry))
+    return rows
+
+
+def _sieve(d: int, lo: int, entries: list) -> None:
+    """Fill the None entries, those of bases lo + i, with sieved pieces
+    Phi_d(lo + i), and cache them."""
+    phi = cyclotomic(d)
+    vals = [phi(lo + i) if e is None else None for i, e in enumerate(entries)]
+    powers: list[list[tuple[int, int]]] = [[] for _ in entries]
+    span = len(entries)
+    top = max(v for v in vals if v is not None)
+    for p, roots in _residue_roots(d, min(_TRIAL_LIMIT, math.isqrt(top))):
+        for r in roots:
+            i = (r - lo) % p
+            while i < span:
+                v = vals[i]
+                if v is not None:
+                    e = 0
+                    while v % p == 0:
+                        v //= p
+                        e += 1
+                    vals[i] = v
+                    powers[i].append((p, e))
+                i += p
+    for i, v in enumerate(vals):
+        if v is not None:
             if len(_piece_cache) >= _PIECE_CACHE_MAX:
                 _piece_cache.popitem(last=False)
-            _piece_cache[(d, b)] = entry
-        out.append((d, *entry))
-    return out
+            entries[i] = _piece_cache[(d, lo + i)] = (tuple(powers[i]), v)
+
+
+def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
+    """(d, prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
+    return sieve_pieces(b, b, n, l)[0]
 
 
 def factor_quotient(
-    b: int, n: int, l: int, *, budget_ms: int | None = None
+    b: int, n: int, l: int, *, budget_ms: int | None = None, pieces: list | None = None
 ) -> Factorization:
     """Factor (b**(n*l) - 1) // (b**l - 1) piecewise via cyclotomic values.
 
     Pieces are memoized per (d, b), so range scans that share pieces
-    across triples do not refactor them.  budget_ms bounds the whole
-    call; trial division is not counted against it.
+    across triples do not refactor them; pieces, when given, are base
+    b's row of sieve_pieces.  budget_ms bounds the whole call; sieving
+    is not counted against it.
     """
-    pieces = _pieces(b, n, l)
+    if pieces is None:
+        pieces = _pieces(b, n, l)
     deadline = _Deadline(budget_ms)
     total: dict[int, int] = {}
     for d, powers, cofactor in pieces:
@@ -409,10 +494,13 @@ def factor_quotient(
     return Factorization(tuple(sorted(total.items())))
 
 
-def defect_reaches(b: int, n: int, l: int, q: int, limit: int) -> bool:
+def defect_reaches(
+    b: int, n: int, l: int, q: int, limit: int, *, pieces: list | None = None
+) -> bool:
     """True when the least d making d * quotient a q-th power is >= limit.
 
-    Judged from the trial-divided pieces, with no primality test or rho;
+    Judged from the sieved pieces (base b's row of sieve_pieces, looked
+    up when not given), with no primality test or rho;
     False only means the bound stays below limit.  Found primes and
     cofactors below B**2 (B the trial limit; such a cofactor is prime)
     count exactly.  A larger cofactor m has at most E primes, all above
@@ -424,7 +512,9 @@ def defect_reaches(b: int, n: int, l: int, q: int, limit: int) -> bool:
         return False
     exps: dict[int, int] = {}
     large = []
-    for _, powers, cofactor in _pieces(b, n, l):
+    if pieces is None:
+        pieces = _pieces(b, n, l)
+    for _, powers, cofactor in pieces:
         if cofactor >= _TRIAL_LIMIT * _TRIAL_LIMIT:
             large.append(cofactor)
         elif cofactor > 1:

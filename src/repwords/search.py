@@ -34,6 +34,7 @@ from .factoring import (
     check_budget,
     defect_reaches,
     factor_quotient,
+    sieve_pieces,
 )
 from .triples import Triple
 from .words import (
@@ -132,7 +133,7 @@ def _checked(rec: SolutionRecord, source: str) -> SolutionRecord:
 
 
 def solutions_for_base(
-    t: Triple, b: int, *, factor_budget_ms: int | None = None
+    t: Triple, b: int, *, factor_budget_ms: int | None = None, pieces: list | None = None
 ) -> list[SolutionRecord]:
     """All solutions at base b, ascending in y.
 
@@ -140,16 +141,20 @@ def solutions_for_base(
     so scanning integer k with k**q * d inside the c-range finds every
     solution once, and there is none once d >= b**l (defect_reaches).
     Interval endpoints come from exact root extraction with a direct
-    power check on both candidates.
+    power check on both candidates.  pieces is base b's row of
+    factoring.sieve_pieces: a range scan sieves its whole chunk, a lone
+    call the window [b, b].
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     # up front: a base the defect bound decides never reaches factoring
     check_budget(factor_budget_ms)
+    if pieces is None:
+        pieces = sieve_pieces(b, b, t.n, t.l)[0]
     c_lo, c_hi = b ** (t.l - 1), b**t.l
-    if defect_reaches(b, t.n, t.l, t.q, c_hi):
+    if defect_reaches(b, t.n, t.l, t.q, c_hi, pieces=pieces):
         return []
-    f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms)
+    f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms, pieces=pieces)
     r = f.value
     d = compute_defect(f, t.q)
     s, exact = iroot(d * r, t.q)
@@ -197,16 +202,10 @@ class Checkpoint:
 
     def normalized(self) -> Checkpoint:
         """Canonical form: merged ranges, records sorted and deduplicated."""
-        merged: list[list[int]] = []
-        for lo, hi in sorted(self.completed):
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
         sols = sorted(set(self.solutions), key=lambda s: (s.b, s.y))
         return Checkpoint(
             self.triple,
-            tuple((lo, hi) for lo, hi in merged),
+            _merged(self.completed),
             tuple(sols),
             tuple(sorted(set(self.unresolved))),
         )
@@ -215,7 +214,7 @@ class Checkpoint:
         """Subranges of [lo, hi] not yet covered by completed ranges."""
         out = []
         cur = lo
-        for a, b in self.normalized().completed:
+        for a, b in _merged(self.completed):
             if b < cur:
                 continue
             if a > hi:
@@ -228,6 +227,17 @@ class Checkpoint:
         if cur <= hi:
             out.append((cur, hi))
         return out
+
+
+def _merged(ranges) -> tuple[tuple[int, int], ...]:
+    """Sorted disjoint ranges covering the same bases, adjacent ones joined."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
 
 
 def _int(s) -> int:
@@ -352,9 +362,11 @@ def _scan_chunk(
     sols: list[SolutionRecord] = []
     unresolved: list[int] = []
     lo, hi = chunk
-    for b in range(lo, hi + 1):
+    for b, pieces in zip(range(lo, hi + 1), sieve_pieces(lo, hi, t.n, t.l)):
         try:
-            sols.extend(solutions_for_base(t, b, factor_budget_ms=factor_budget_ms))
+            sols.extend(
+                solutions_for_base(t, b, factor_budget_ms=factor_budget_ms, pieces=pieces)
+            )
         except FactorBudgetError:
             unresolved.append(b)
     return sols, unresolved

@@ -19,12 +19,15 @@ merges K-digit limbs in pairs by the same ladder, so no step walks the
 whole number once per digit.  The bijective word of x is the canonical
 word of x - R_k, zero-padded to k digits, with 1 added to every digit,
 where R_k = (b^k - 1)/(b - 1) <= x < R_(k+1).  No conversion goes through
-str, so Python's int/str digit limit never applies; decimal text, the cell
-format of tables and checkpoints, is converted in 4,000-digit chunks.
+str, so Python's int/str digit limit never applies.  Decimal text, the
+cell format of tables and checkpoints, is split top-down too: into
+4,000-digit leaves for int(), and, the other way, into bit blocks merged
+by exact multiplication in the decimal module.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -278,16 +281,36 @@ def split_repetition(w: Word, n: int) -> Word | None:
     return Word(w.system, w.base, u)
 
 
+# Decimal text at any size.  Numbers below 10**_SPLIT_DIGITS and texts of
+# at most _SPLIT_DIGITS digits go through C-level str() and int(), below
+# their 4300-digit limit.  A longer text splits top-down by the ladder
+# {i: 10**(_SPLIT_DIGITS * 2**i)}.  A larger number splits top-down by
+# bits and is merged in the decimal module by the ladder
+# {i: 2**(_LEAF_BITS * 2**i)} of exact Decimals: that multiplication is
+# subquadratic, where divmod by a power of ten is schoolbook.
 _SPLIT_DIGITS = 4000
-_SPLIT = 10**_SPLIT_DIGITS
+_DECIMAL_RUNGS = {0: 10**_SPLIT_DIGITS}
+_LEAF_BITS = 16384
+_BINARY_RUNGS = {0: decimal.Decimal(1 << _LEAF_BITS)}
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
 
 def format_decimal(x: int) -> str:
     """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
-    if x < _SPLIT:
+    if x < _DECIMAL_RUNGS[0]:
         return str(x)
-    hi, lo = divmod(x, _SPLIT)
-    return format_decimal(hi) + str(lo).zfill(_SPLIT_DIGITS)
+    with decimal.localcontext(_EXACT):
+        return str(_to_decimal(x))
+
+
+def _to_decimal(x: int) -> decimal.Decimal:
+    n = x.bit_length()
+    if n <= _LEAF_BITS:
+        return decimal.Decimal(x)
+    # the low part is the longest block of _LEAF_BITS * 2**i bits
+    i = ((n - 1) // _LEAF_BITS).bit_length() - 1
+    w = _LEAF_BITS << i
+    return _to_decimal(x >> w) * _rung(_BINARY_RUNGS, i) + _to_decimal(x & ((1 << w) - 1))
 
 
 def parse_decimal(text: str) -> int:
@@ -296,13 +319,16 @@ def parse_decimal(text: str) -> int:
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid decimal {text[:32]!r} ({len(text)} characters)")
+    return _decimal_value(text)
+
+
+def _decimal_value(text: str) -> int:
     if len(text) <= _SPLIT_DIGITS:
         return int(text)
-    head = len(text) % _SPLIT_DIGITS or _SPLIT_DIGITS
-    x = int(text[:head])
-    for i in range(head, len(text), _SPLIT_DIGITS):
-        x = x * _SPLIT + int(text[i : i + _SPLIT_DIGITS])
-    return x
+    # the low part is the longest block of _SPLIT_DIGITS * 2**i digits
+    i = ((len(text) - 1) // _SPLIT_DIGITS).bit_length() - 1
+    cut = len(text) - (_SPLIT_DIGITS << i)
+    return _decimal_value(text[:cut]) * _rung(_DECIMAL_RUNGS, i) + _decimal_value(text[cut:])
 
 
 def render_word(w: Word) -> str:

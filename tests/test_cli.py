@@ -336,6 +336,16 @@ def test_verify_malformed_corpus(capsys, tmp_path):
     assert "broken:2" in err
 
 
+def test_verify_non_ascii_word_digits_is_a_malformed_corpus(capsys, tmp_path):
+    # read digit by digit, the Arabic-Indic one and zero made this row
+    # the word 100100, which fails its check with exit 1
+    p = tmp_path / "arabic.csv"
+    p.write_text("y,w\n11,\u0661\u06600100\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--corpus", str(p))
+    assert (code, out) == (2, "")
+    assert "arabic:2: bad word cell" in err
+
+
 def test_verify_reads_back_generate_of_any_size(capsys, tmp_path):
     # the y of member 46 of (2,3,2) has 4331 digits, past int()'s 4300
     code, out, _ = run(capsys, *"generate --triple 2,3,2 --count 46".split())

@@ -11,6 +11,7 @@ from repwords.corpus import (
     builtin_corpora,
     format_report,
     load_corpus,
+    parse_pattern,
     verify_corpus,
     write_records,
 )
@@ -113,6 +114,28 @@ def test_integer_cells_are_ascii_digits_at_any_length(tmp_path, bad):
         p.write_text(f"q,n,l,b,y,c,w\n2,3,1,18,{text},7,(7)\n", encoding="utf-8")
         with pytest.raises(MalformedCorpusError, match="bad:2"):
             load_corpus(p)
+
+
+@pytest.mark.parametrize(
+    "header,row",
+    [
+        # Arabic-Indic one and zero in a Zeckendorf word: int() reads 100100
+        ("y,w", "11,\u0661\u06600100"),
+        # Arabic-Indic three, two and four in a bijective pattern cell
+        ("b,row,y_pattern,w_pattern", '7,1,"(\u0663:\u0662n)\u0664","(15:n+1)2"'),
+    ],
+)
+def test_word_and_pattern_cells_are_ascii_digits(tmp_path, header, row):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    with pytest.raises(MalformedCorpusError, match="bad:2"):
+        load_corpus(p)
+
+
+def test_pattern_tokens_are_ascii_digits():
+    assert parse_pattern("(3:2n)4") == [((3,), 2, 0), ((4,), 0, 1)]
+    with pytest.raises(ValueError, match="bad pattern"):
+        parse_pattern("(\u0663:\u0662n)\u0664")
 
 
 def test_word_digits_must_fit_base(tmp_path):

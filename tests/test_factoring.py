@@ -1,6 +1,7 @@
 """Factorization stack: primality, rho splitting, cyclotomic pieces."""
 
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,8 +106,8 @@ def test_factor_budget():
 
 
 def test_factor_residue_hint():
-    # prime divisors of b^4+1 = Phi_8(b) are 2 or == 1 mod 8, so the piece's
-    # trial division by those primes alone must agree with full trial division
+    # prime divisors of b^4+1 = Phi_8(b) are 2 or == 1 mod 8, so sieving
+    # the piece by those primes alone must agree with full trial division
     assert factor_quotient(1699, 2, 4) == factor(1699**4 + 1)
 
 
@@ -167,6 +168,69 @@ def test_piece_cache_is_bounded(monkeypatch):
             assert f == factor((b ** (n * l) - 1) // (b**l - 1))
     # the four pieces of base 39, in first-use order: every older one is gone
     assert list(factoring._piece_cache) == [(2, 39), (3, 39), (4, 39), (6, 39)]
+
+
+# (n, l) of every triple with n * l <= 24
+SIEVE_SHAPES = [(n, l) for l in range(1, 13) for n in range(2, 25) if n * l <= 24]
+# chunks as a range scan sieves them, two of them on either side of 20,000
+SIEVE_WINDOWS = [(2, 257), (258, 513), (514, 700), (19_900, 20_000), (20_001, 20_100)]
+
+
+def test_sieved_pieces_are_exact(monkeypatch):
+    # each piece Phi_d(b) is its sieved prime powers times a cofactor that
+    # is 1 or a prime below B**2, or has no prime up to B (B the trial
+    # limit); where no cofactor reaches B**2 the quotient's factorization
+    # equals factor() of the whole quotient
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    B = factoring._TRIAL_LIMIT
+    small = math.prod(primes_upto(B))
+    seen = set()
+    for lo, hi in SIEVE_WINDOWS:
+        for n, l in SIEVE_SHAPES:
+            rows = factoring.sieve_pieces(lo, hi, n, l)
+            orders = [d for d in divisors(n * l) if l % d]
+            assert len(rows) == hi - lo + 1
+            for b, pieces in zip(range(lo, hi + 1), rows):
+                assert [d for d, _, _ in pieces] == orders
+                for d, powers, cofactor in pieces:
+                    if (d, b) in seen:
+                        continue
+                    seen.add((d, b))
+                    primes = [p for p, _ in powers]
+                    assert primes == sorted(set(primes))
+                    assert all(p <= B and (p % d == 1 or d % p == 0) for p in primes)
+                    assert all(e >= 1 for _, e in powers)
+                    assert math.prod(p**e for p, e in powers) * cofactor == cyclotomic(d)(b)
+                    if cofactor < B * B:
+                        assert cofactor == 1 or is_probable_prime(cofactor)
+                    else:
+                        assert math.gcd(cofactor, small) == 1
+                if (b - lo) % 11 == 0 and all(m < B * B for _, _, m in pieces):
+                    quotient = (b ** (n * l) - 1) // (b**l - 1)
+                    assert factor_quotient(b, n, l) == factor(quotient)
+    assert len(seen) == 23 * sum(hi - lo + 1 for lo, hi in SIEVE_WINDOWS)
+
+
+def test_sieve_roots_for_primes_dividing_the_order(monkeypatch):
+    # 6 = 2 * 3: mod 3, Phi_6 is Phi_2 squared, so 3 divides Phi_6(b)
+    # exactly when b == 2 (mod 3); mod 2 it is Phi_3 squared, which has
+    # no root, so Phi_6(b) = b*b - b + 1 is never even
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    assert factoring._residue_roots(6, 7) == [(2, ()), (3, (2,)), (7, (3, 5))]
+    for lo, hi in ((2, 200), (19_990, 20_010)):
+        # (b**6 - 1) / (b**3 - 1) = Phi_2(b) * Phi_6(b)
+        for b, pieces in zip(range(lo, hi + 1), factoring.sieve_pieces(lo, hi, 2, 3)):
+            [(d, powers, cofactor)] = [piece for piece in pieces if piece[0] == 6]
+            got = dict(powers)
+            assert (3 in got) == (b % 3 == 2) and 2 not in got
+            assert got.get(3, 0) <= 1 and cofactor % 2 == 1
+    # each table lists exactly the residues b mod p with p | Phi_d(b)
+    for d in range(2, 25):
+        for p, roots in factoring._residue_roots(d, 300):
+            assert roots == tuple(b for b in range(p) if cyclotomic(d)(b) % p == 0)
+    # Phi_2(b) = b + 1: the root of 2 is 1, and 2 divides out fully
+    [[(_, powers, _)]] = factoring.sieve_pieces(31, 31, 2, 1)
+    assert powers == ((2, 5),)
 
 
 def test_factor_quotient_matches_direct():

@@ -107,6 +107,22 @@ def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
     assert decided[rule] > 0 and set(decided) == {rule}
 
 
+@pytest.mark.parametrize("q,n,l", [(3, 5, 1), (2, 4, 1), (3, 3, 1)])
+def test_sieved_range_matches_brute(q, n, l, monkeypatch):
+    # a cold range scan sieves each chunk's pieces at once; every base of
+    # a window of several chunks must agree with the oracle
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    t = Triple(q, n, l)
+    for lo, hi in ((2, 450), (1_990, 2_040)):
+        cp = search_range(t, lo, hi)
+        assert cp.completed == ((lo, hi),) and cp.unresolved == ()
+        by_base: dict[int, list[SolutionRecord]] = {}
+        for r in cp.solutions:
+            by_base.setdefault(r.b, []).append(r)
+        for b in range(lo, hi + 1):
+            assert by_base.get(b, []) == brute_solutions_for_base(t, b)
+
+
 def test_bound_decided_bases_are_never_unresolved():
     # every base of (2,5,2) up to 400 is decided by trial division alone,
     # so even a zero budget leaves none unresolved
@@ -314,6 +330,12 @@ def test_checkpoint_normalize_merges_ranges():
     n = cp.normalized()
     assert n.completed == ((2, 20), (30, 40))
     assert n.gaps(2, 50) == [(21, 29), (41, 50)]
+
+
+def test_checkpoint_gaps_of_unsorted_ranges():
+    cp = Checkpoint(Triple(2, 3, 1), ((30, 40), (5, 10), (11, 20), (2, 3)), (), ())
+    assert cp.gaps(1, 45) == [(1, 1), (4, 4), (21, 29), (41, 45)]
+    assert cp.gaps(12, 18) == []
 
 
 def test_unresolved_base_on_tiny_budget():

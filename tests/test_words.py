@@ -13,6 +13,8 @@ from repwords.words import (
     bijective_word,
     canonical_word,
     fibonacci,
+    format_decimal,
+    parse_decimal,
     render_word,
     repeat_word,
     split_repetition,
@@ -242,6 +244,26 @@ def test_converters_at_100k_digits():
     x = word_value(w) * repunit
     assert to_bijective(x, b) == repeat_word(w, 200)
     assert word_value(repeat_word(w, 200)) == x
+
+
+@pytest.mark.parametrize("length", [1, 3_999, 4_000, 4_001, 8_001, 200_000])
+def test_decimal_text_round_trips(length):
+    rng = random.Random(length)
+    text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
+    x = word_value(canonical_word(10, tuple(map(int, text))))
+    assert parse_decimal(text) == x
+    assert format_decimal(x) == text
+    assert parse_decimal("0" * length + "7") == 7
+    if length < 10_000:
+        for v, t in ((10 ** (length - 1), "1" + "0" * (length - 1)), (10**length - 1, "9" * length)):
+            assert format_decimal(v) == t and parse_decimal(t) == v
+
+
+def test_format_decimal_at_bit_splits():
+    # numbers are split by bits at multiples of 2**14
+    for e in (2**14, 2**15, 2**16, 3 * 2**15):
+        for v in (2**e - 1, 2**e, 2**e + 1, 2**e * 12345):
+            assert format_decimal(v) == "".join(map(str, to_canonical(v, 10).digits))
 
 
 def test_ladder_cache_is_bounded():
