@@ -177,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--b-lo", type=int, required=True)
     p.add_argument("--b-hi", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="number of processes that scan, counting this one (default 1)",
+    )
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--factor-budget", type=int, default=None, metavar="MS")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")

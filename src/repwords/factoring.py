@@ -444,7 +444,16 @@ def _sieve(d: int, lo: int, entries: list) -> None:
     powers: list[list[tuple[int, int]]] = [[] for _ in entries]
     span = len(entries)
     top = max(v for v in vals if v is not None)
-    for p, roots in _residue_roots(d, min(_TRIAL_LIMIT, math.isqrt(top))):
+    table = _residue_roots(d, min(_TRIAL_LIMIT, math.isqrt(top)))
+    if span < phi.degree:
+        # fewer bases than roots (phi(d) of them for p not dividing d): test
+        # each base once per prime instead; above the width a prime's one
+        # residue hits only the base it came from
+        table = [(p, roots) for p, roots in table if p <= span] + [
+            (p, (b % p,)) for b in range(lo, lo + span) for p, roots in table
+            if p > span and b % p in roots
+        ]
+    for p, roots in table:
         for r in roots:
             i = (r - lo) % p
             while i < span:

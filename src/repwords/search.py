@@ -13,7 +13,8 @@ oracle enumerating every c directly backs the fast path in tests.
 
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
-deterministic final result.
+deterministic final result.  The calling process is one of the workers:
+it scans chunks from the front while forked helpers scan from the back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -43,7 +45,6 @@ from .words import (
     fibonacci,
     format_decimal,
     parse_decimal,
-    repeat_word,
     split_repetition,
     to_canonical,
     to_zeckendorf,
@@ -80,9 +81,7 @@ class SolutionRecord:
 
 def check_solution(rec: SolutionRecord) -> str | None:
     """Name of the first failing invariant, or None when all hold."""
-    try:
-        Triple(rec.q, rec.n, rec.l)
-    except ValueError:
+    if rec.q < 2 or rec.n < 2 or rec.l < 1:
         return "triple"
     if rec.b < 2:
         return "base"
@@ -101,7 +100,7 @@ def check_solution(rec: SolutionRecord) -> str | None:
     v = rec.y**rec.q
     if v * (rec.b**rec.l - 1) != rec.c * (rec.b ** (rec.n * rec.l) - 1):
         return "power-equation"
-    if to_canonical(v, rec.b) != repeat_word(rec.w, rec.n):
+    if to_canonical(v, rec.b).digits != rec.w.digits * rec.n:
         return "digit-string"
     return None
 
@@ -246,29 +245,38 @@ def _int(s) -> int:
     raise CheckpointError(f"expected decimal string, got {s!r}")
 
 
+# Lines are built by hand, byte for byte what json.dumps gives: every value
+# is a decimal string of ASCII digits, which JSON needs no escape for.
 def _range_line(lo: int, hi: int) -> str:
-    return json.dumps({"range": [format_decimal(lo), format_decimal(hi)]})
+    return f'{{"range": ["{format_decimal(lo)}", "{format_decimal(hi)}"]}}'
 
 
 def _solution_line(r: SolutionRecord) -> str:
-    fields = dict(zip("qnlbyc", map(format_decimal, (r.q, r.n, r.l, r.b, r.y, r.c))))
-    fields["w"] = list(map(format_decimal, r.w.digits))
-    return json.dumps({"solution": fields})
+    q, n, l, b, y, c = map(format_decimal, (r.q, r.n, r.l, r.b, r.y, r.c))
+    w = ", ".join(f'"{format_decimal(d)}"' for d in r.w.digits)
+    return (
+        f'{{"solution": {{"q": "{q}", "n": "{n}", "l": "{l}", "b": "{b}",'
+        f' "y": "{y}", "c": "{c}", "w": [{w}]}}}}'
+    )
 
 
 def _unresolved_line(b: int) -> str:
-    return json.dumps({"unresolved": format_decimal(b)})
+    return f'{{"unresolved": "{format_decimal(b)}"}}'
 
 
 def _solution_from_json(obj: dict) -> SolutionRecord:
-    q, n, l, b, y, c = (_int(obj[k]) for k in "qnlbyc")
-    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(map(_int, obj["w"]))))
+    cells, w = [obj[k] for k in "qnlbyc"], obj["w"]
+    if not (isinstance(w, list) and all(isinstance(s, str) for s in cells + w)):
+        raise CheckpointError(f"expected decimal strings, got {obj!r:.64}")
+    q, n, l, b, y, c = map(parse_decimal, cells)
+    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(map(parse_decimal, w))))
 
 
 def checkpoint_lines(cp: Checkpoint) -> list[str]:
     cp = cp.normalized()
     t = cp.triple
-    lines = [json.dumps({"triple": list(map(format_decimal, (t.q, t.n, t.l)))})]
+    q, n, l = map(format_decimal, (t.q, t.n, t.l))
+    lines = [f'{{"triple": ["{q}", "{n}", "{l}"]}}']
     lines += [_range_line(lo, hi) for lo, hi in cp.completed]
     lines += [_solution_line(rec) for rec in cp.solutions]
     lines += [_unresolved_line(b) for b in cp.unresolved]
@@ -343,7 +351,7 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
             f"{path}: checkpoint is for triple {triple}, expected {expect}"
         )
     for rec in solutions:
-        if rec.triple != triple:
+        if (rec.q, rec.n, rec.l) != (triple.q, triple.n, triple.l):
             raise CheckpointError(f"{path}: solution for foreign triple {rec.triple}")
     return Checkpoint(
         triple, tuple(completed), tuple(solutions), tuple(unresolved)
@@ -387,8 +395,14 @@ def search_range(
 ) -> Checkpoint:
     """Scan bases b_lo..b_hi, resuming from and updating the checkpoint.
 
-    The final checkpoint is deterministic: independent of worker count,
-    chunking, and any interrupt/resume history.
+    The gaps are cut into chunks of at most _FLUSH_EVERY bases and a
+    quarter of the gap per worker.  This process scans chunks from the
+    front, and workers - 1 forked helpers, about two chunks in flight
+    each, scan from the back; finished chunks are appended to the
+    checkpoint as they come, each range line after its records, so a
+    kill at any byte leaves every unfinished chunk a gap.  The final
+    checkpoint is deterministic: independent of worker count, chunking,
+    and any interrupt/resume history.
     """
     if b_lo < 2 or b_lo > b_hi:
         raise ValueError("need 2 <= b_lo <= b_hi")
@@ -399,7 +413,7 @@ def search_range(
         cp = load_checkpoint(checkpoint_path, expect=t)
     else:
         cp = Checkpoint(t, (), (), ())
-    chunks: list[tuple[int, int]] = []
+    chunks: deque[tuple[int, int]] = deque()
     for lo, hi in cp.gaps(b_lo, b_hi):
         step = max(1, min(_FLUSH_EVERY, (hi - lo + 1) // (4 * workers) + 1))
         chunks += [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
@@ -414,26 +428,37 @@ def search_range(
             write_checkpoint(checkpoint_path, cp)
         appender = open(checkpoint_path, "a")
 
-    def note(sols: list[SolutionRecord], unres: list[int], lo: int, hi: int) -> None:
+    def note(chunk: tuple[int, int], found: tuple[list[SolutionRecord], list[int]]) -> None:
+        sols, unres = found
         new_solutions.extend(sols)
         new_unresolved.extend(unres)
-        completed.append((lo, hi))
+        completed.append(chunk)
         if appender:
             for rec in sols:
                 appender.write(_solution_line(rec) + "\n")
             for b in unres:
                 appender.write(_unresolved_line(b) + "\n")
             # last, so a kill before it leaves the chunk a gap to rescan
-            appender.write(_range_line(lo, hi) + "\n")
+            appender.write(_range_line(*chunk) + "\n")
             appender.flush()
 
+    scan = partial(_scan_chunk, t, factor_budget_ms)
+    # the caller scans from the front, workers - 1 helpers from the back;
+    # the pool forks on its first submit, so a one-chunk gap forks nothing
+    in_flight: dict[Future, tuple[int, int]] = {}
     try:
-        # starting a pool costs more than a short scan: one worker stays in-process
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            run = pool.map if pool else map
-            scan = partial(_scan_chunk, t, factor_budget_ms)
-            for (lo, hi), (sols, unres) in zip(chunks, run(scan, chunks)):
-                note(sols, unres, lo, hi)
+        with ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext() as helpers:
+            while chunks or in_flight:
+                while helpers and len(chunks) > 1 and len(in_flight) < 2 * (workers - 1):
+                    chunk = chunks.pop()
+                    in_flight[helpers.submit(scan, chunk)] = chunk
+                if chunks:
+                    chunk = chunks.popleft()
+                    note(chunk, scan(chunk))
+                else:
+                    wait(in_flight, return_when=FIRST_COMPLETED)
+                for fut in [f for f in in_flight if f.done()]:
+                    note(in_flight.pop(fut), fut.result())
     finally:
         if appender:
             appender.close()

@@ -176,6 +176,19 @@ SIEVE_SHAPES = [(n, l) for l in range(1, 13) for n in range(2, 25) if n * l <= 2
 SIEVE_WINDOWS = [(2, 257), (258, 513), (514, 700), (19_900, 20_000), (20_001, 20_100)]
 
 
+def _assert_exact_piece(d, b, powers, cofactor, small):
+    B = factoring._TRIAL_LIMIT
+    primes = [p for p, _ in powers]
+    assert primes == sorted(set(primes))
+    assert all(p <= B and (p % d == 1 or d % p == 0) for p in primes)
+    assert all(e >= 1 for _, e in powers)
+    assert math.prod(p**e for p, e in powers) * cofactor == cyclotomic(d)(b)
+    if cofactor < B * B:
+        assert cofactor == 1 or is_probable_prime(cofactor)
+    else:
+        assert math.gcd(cofactor, small) == 1
+
+
 def test_sieved_pieces_are_exact(monkeypatch):
     # each piece Phi_d(b) is its sieved prime powers times a cofactor that
     # is 1 or a prime below B**2, or has no prime up to B (B the trial
@@ -196,19 +209,26 @@ def test_sieved_pieces_are_exact(monkeypatch):
                     if (d, b) in seen:
                         continue
                     seen.add((d, b))
-                    primes = [p for p, _ in powers]
-                    assert primes == sorted(set(primes))
-                    assert all(p <= B and (p % d == 1 or d % p == 0) for p in primes)
-                    assert all(e >= 1 for _, e in powers)
-                    assert math.prod(p**e for p, e in powers) * cofactor == cyclotomic(d)(b)
-                    if cofactor < B * B:
-                        assert cofactor == 1 or is_probable_prime(cofactor)
-                    else:
-                        assert math.gcd(cofactor, small) == 1
+                    _assert_exact_piece(d, b, powers, cofactor, small)
                 if (b - lo) % 11 == 0 and all(m < B * B for _, _, m in pieces):
                     quotient = (b ** (n * l) - 1) // (b**l - 1)
                     assert factor_quotient(b, n, l) == factor(quotient)
     assert len(seen) == 23 * sum(hi - lo + 1 for lo, hi in SIEVE_WINDOWS)
+
+
+def test_narrow_windows_are_exact(monkeypatch):
+    # a window narrower than phi(d) tests each base against each prime's
+    # roots; a prime dividing d may be no wider than the window (2 | Phi_8,
+    # 3 | Phi_9, 5 | Phi_20) and must still divide each base out once
+    small = math.prod(primes_upto(factoring._TRIAL_LIMIT))
+    for lo in (2, 3, 19_995):
+        for n in (8, 9, 16, 18, 20, 24):
+            for span in range(1, 9):
+                monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+                rows = factoring.sieve_pieces(lo, lo + span - 1, n, 1)
+                for b, pieces in zip(range(lo, lo + span), rows):
+                    for d, powers, cofactor in pieces:
+                        _assert_exact_piece(d, b, powers, cofactor, small)
 
 
 def test_sieve_roots_for_primes_dividing_the_order(monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repwords.cli import main
+from repwords.search import load_checkpoint, write_checkpoint
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -62,3 +63,14 @@ def test_library_example_values():
         assert repr(value) == comment.strip(), code
         checked.append(comment.strip())
     assert checked == ["25", "(22, 39, 3)", "(3, 3, 3)"]
+
+
+def test_checkpoint_example_round_trips(tmp_path):
+    # the example file loads, and writing it back gives the same bytes
+    section = README.split("\n### Checkpoints\n", 1)[1]
+    text = section.split("```\n", 1)[1].split("```", 1)[0]
+    assert '"solution"' in text
+    path = tmp_path / "cp.jsonl"
+    path.write_text(text)
+    write_checkpoint(str(path), load_checkpoint(str(path)))
+    assert path.read_text() == text

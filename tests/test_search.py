@@ -31,7 +31,13 @@ from repwords.search import (
     write_checkpoint,
 )
 from repwords.triples import Triple
-from repwords.words import canonical_word, split_repetition, to_canonical, to_zeckendorf
+from repwords.words import (
+    canonical_word,
+    format_decimal,
+    split_repetition,
+    to_canonical,
+    to_zeckendorf,
+)
 
 
 def rec(q, n, l, b, y, c):
@@ -60,6 +66,8 @@ def test_check_solution_invariant_names():
     assert check_solution(rec(2, 3, 1, 18, 1, 7)) == "y-range"
     # c too small for an l-digit word surfaces as a shape failure
     assert check_solution(rec(2, 3, 2, 68, 247, 13)) == "word-shape"
+    # q = 1 is no triple; that is named before the power equation, which fails too
+    assert check_solution(rec(1, 3, 1, 18, 49, 7)) == "triple"
 
 
 def test_solutions_for_base_known_rows():
@@ -80,6 +88,16 @@ def test_brute_matches_defect_scan():
         t = Triple(q, n, l)
         for b in range(2, 40):
             assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
+
+
+@pytest.mark.parametrize("q,n,l", [(2, 3, 1), (3, 5, 1), (2, 6, 1), (4, 4, 1)])
+def test_lone_cold_bases_match_brute(q, n, l, monkeypatch):
+    # a lone base is a window narrower than phi(d) >= 2 roots of a piece:
+    # the sieve tests it against each prime's roots instead of walking them
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    t = Triple(q, n, l)
+    for b in [*range(2, 120), *range(1_500, 1_530)]:
+        assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
 
 
 @pytest.mark.parametrize("q,rule", [(3, "E < q"), (4, "E < q"), (2, "not a q-th power")])
@@ -270,6 +288,51 @@ def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):
         assert path.read_bytes() == whole_path.read_bytes()
 
 
+def test_checkpoint_cut_between_out_of_order_chunks_resumes(tmp_path, monkeypatch):
+    # with two workers a helper scans chunks from the back, so their range
+    # lines are appended out of order; a kill that leaves the file cut at
+    # any line boundary resumes to the bytes of an uninterrupted 1-worker run
+    t = Triple(2, 3, 1)
+    path = tmp_path / "cp.jsonl"
+    write_checkpoint(str(path), Checkpoint(t, (), (), ()))
+    with monkeypatch.context() as m:
+        m.setattr(search, "write_checkpoint", lambda *a: sys.exit("killed"))
+        m.setattr(search, "_FLUSH_EVERY", 16)
+        with pytest.raises(SystemExit):
+            search_range(t, 2, 150, str(path), workers=2)
+    appended = path.read_bytes()
+    lines = appended.splitlines(keepends=True)
+    starts = [int(json.loads(line)["range"][0]) for line in lines if b'"range"' in line]
+    assert len(starts) == 10 and starts != sorted(starts)
+
+    whole_path = tmp_path / "whole.jsonl"
+    whole = search_range(t, 2, 150, str(whole_path), workers=1)
+    for cut in range(1, len(lines) + 1):
+        path.write_bytes(b"".join(lines[:cut]))
+        assert search_range(t, 2, 150, str(path), workers=2) == whole
+        assert path.read_bytes() == whole_path.read_bytes()
+
+
+def test_checkpoint_lines_are_json_dumps_bytes(tmp_path):
+    # lines are formatted by hand; each must equal json.dumps of its
+    # decimal strings, for a 1-digit word, a 3-digit word and a 4,331-digit y
+    path = tmp_path / "cp.jsonl"
+    for r in (rec(2, 3, 1, 18, 49, 7), rec(4, 2, 3, 19, 70, 3500), gen_232(46)[-1]):
+        cp = Checkpoint(r.triple, ((r.b, r.b + 1),), (r,), (r.b + 1,))
+        write_checkpoint(str(path), cp)
+        dec = format_decimal
+        fields = {k: dec(getattr(r, k)) for k in "qnlbyc"}
+        fields["w"] = [dec(d) for d in r.w.digits]
+        expect = [
+            {"triple": [dec(r.q), dec(r.n), dec(r.l)]},
+            {"range": [dec(r.b), dec(r.b + 1)]},
+            {"solution": fields},
+            {"unresolved": dec(r.b + 1)},
+        ]
+        assert path.read_text() == "".join(json.dumps(obj) + "\n" for obj in expect)
+        assert load_checkpoint(str(path), expect=r.triple) == cp
+
+
 def test_checkpoint_drops_only_an_unterminated_tail(tmp_path):
     t = Triple(2, 3, 1)
     path = tmp_path / "cp.jsonl"
@@ -302,6 +365,20 @@ def test_invariant_checks_survive_optimize():
                 print(e)
             else:
                 sys.exit(f"{solve.__name__} returned a corrupted record")
+        # with two workers the caller scans the first chunk, [2, 20], and a
+        # forked helper the last, [135, 150]; each holds a solution, and
+        # each refuses it when only its own chunk's records are corrupted
+        bad = search._record
+        for lo, hi in ((2, 20), (135, 150)):
+            search._record = lambda t, b, *a, lo=lo, hi=hi: (
+                bad if lo <= b <= hi else real
+            )(t, b, *a)
+            try:
+                search.search_range(Triple(2, 3, 1), 2, 150, workers=2)
+            except search.InvariantError as e:
+                print(e)
+            else:
+                sys.exit(f"search_range returned a corrupted record from {lo}..{hi}")
         """
     )
     src = os.path.dirname(os.path.dirname(repwords.__file__))
@@ -311,7 +388,7 @@ def test_invariant_checks_survive_optimize():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("power-equation") == 2
+    assert proc.stdout.count("power-equation") == 4
 
 
 def test_checkpoint_rejects_foreign_triple(tmp_path):
