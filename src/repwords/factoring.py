@@ -18,7 +18,11 @@ correct below 3.3e24, extended by a strong Lucas test above), and Brent's
 cycle finding with a fixed parameter schedule.  Pieces are cached after
 sieving, where defect_reaches reads them, and finished on demand; an
 optional wall clock budget on that aborts cleanly so long range scans
-can record a base as unresolved instead of stalling.
+can record a base as unresolved instead of stalling.  defect_reaches
+bounds a base's defect from the sieved pieces alone: a cofactor left
+after sieving has all its primes above the trial limit, so its share
+is bounded over the exponent shapes it can have, and most bases with
+no solution are rejected with no primality test and no rho.
 """
 
 from __future__ import annotations
@@ -503,6 +507,54 @@ def factor_quotient(
     return Factorization(tuple(sorted(total.items())))
 
 
+# a cofactor with more primes than this, counted with multiplicity, keeps
+# its cheap share: the shape table grows like the partition numbers
+_SHAPE_PRIMES_MAX = 12
+
+
+@cache
+def _shapes(E: int, q: int) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]:
+    """Each exponent shape e_1 >= e_2 >= ... >= 1 with sum <= E as (g,
+    corners): g the gcd of the e_i and, for each i, (e_i, r_i, B**(sum of
+    the other e_j), B**(sum of the other r_j)), r_j = -e_j mod q and B
+    the trial limit."""
+    shapes = [()]
+    for shape in shapes:  # grows as it is walked, each shape once
+        top = min(shape[-1] if shape else E, E - sum(shape))
+        shapes += [shape + (e,) for e in range(1, top + 1)]
+    out = []
+    for shape in shapes[1:]:
+        se, sr = sum(shape), sum(-e % q for e in shape)
+        corners = {
+            (e, -e % q, _TRIAL_LIMIT ** (se - e), _TRIAL_LIMIT ** (sr - (-e % q))) for e in shape
+        }
+        out.append((math.gcd(*shape), tuple(sorted(corners))))
+    return tuple(out)
+
+
+def _cheap_share(m: int, q: int) -> int:
+    """Lower bound on the share of a cofactor m >= B**2 with no prime up
+    to B: m**((q-E)/E) if E < q, else B + 1 unless m is a q-th power."""
+    if m < _TRIAL_LIMIT**q:
+        top = max(e for e in range(2, q) if _TRIAL_LIMIT**e <= m)
+        return iroot(m ** (q - top), top)[0]
+    return 1 if iroot(m, q)[1] else _TRIAL_LIMIT + 1
+
+
+def _least_share(m: int, q: int) -> int:
+    """Least share of a cofactor m >= B**2 with no prime up to B over the
+    exponent shapes it can have (see defect_reaches)."""
+    E = next((e for e in range(2, _SHAPE_PRIMES_MAX + 1) if m < _TRIAL_LIMIT ** (e + 1)), 0)
+    if not E:
+        return _cheap_share(m, q)
+    powers = {g for g in range(2, E + 1) if iroot(m, g)[1]}
+    return min(
+        min(br * iroot((m // be) ** r, e)[0] for e, r, be, br in corners)
+        for g, corners in _shapes(E, q)
+        if g == 1 or g in powers
+    )
+
+
 def defect_reaches(
     b: int, n: int, l: int, q: int, limit: int, *, pieces: list | None = None
 ) -> bool:
@@ -512,10 +564,17 @@ def defect_reaches(
     up when not given), with no primality test or rho;
     False only means the bound stays below limit.  Found primes and
     cofactors below B**2 (B the trial limit; such a cofactor is prime)
-    count exactly.  A larger cofactor m has at most E primes, all above
-    B, with B**E <= m < B**(E+1): its share is at least m**((q-E)/E) if
-    E < q, else B + 1 unless m is a q-th power.  Cofactors of two pieces
-    share no prime unless it divides n*l, so this needs n*l < B.
+    count exactly.  A larger cofactor m is prod p_i**e_i with every p_i
+    above B and sum e_i <= E, B**E <= m < B**(E+1).  Its share
+    prod p_i**r_i, r_i = -e_i mod q, is first bounded cheaply: by
+    m**((q-E)/E) if E < q, else by B + 1 unless m is a q-th power.  If
+    that falls short of limit, each share is redone as the least over
+    the shapes {e_i} m can have: a shape whose e_i have a gcd g > 1
+    needs m to be a g-th power; one prime p**e has exactly
+    iroot(m, e)**r; several have at least the least corner over i,
+    B**(sum_{j!=i} r_j) * iroot((m // B**(sum_{j!=i} e_j))**r_i, e_i),
+    where every prime but p_i sits at B.  Cofactors of two pieces share
+    no prime unless it divides n*l, so this needs n*l < B.
     """
     if n * l >= _TRIAL_LIMIT:
         return False
@@ -530,15 +589,16 @@ def defect_reaches(
             powers += ((cofactor, 1),)
         for p, e in powers:
             exps[p] = exps.get(p, 0) + e
-    bound = 1
+    exact = 1
     for p, e in exps.items():
-        bound *= p ** (-e % q)
+        exact *= p ** (-e % q)
+    bound = exact
     for m in large:
         if bound >= limit:
             return True
-        if m < _TRIAL_LIMIT**q:
-            top = max(e for e in range(2, q) if _TRIAL_LIMIT**e <= m)
-            bound *= iroot(m ** (q - top), top)[0]
-        elif not iroot(m, q)[1]:
-            bound *= _TRIAL_LIMIT + 1
-    return bound >= limit
+        bound *= _cheap_share(m, q)
+    if bound >= limit or not large:
+        return bound >= limit
+    for m in large:
+        exact *= _least_share(m, q)
+    return exact >= limit

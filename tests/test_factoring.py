@@ -259,6 +259,65 @@ def test_factor_quotient_matches_direct():
         assert factor_quotient(b, 4, 2) == direct
 
 
+# the benchmark's 17 sweep triples, then (3,2,4) and (3,3,3), as (q, n, l)
+DEFECT_TRIPLES = [
+    (2, 4, 2), (2, 5, 2), (2, 6, 1), (3, 3, 2), (3, 4, 1), (3, 5, 1), (4, 2, 4),
+    (4, 3, 2), (5, 3, 1), (6, 2, 3), (2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3),
+    (3, 3, 1), (2, 4, 1), (4, 2, 2), (3, 2, 4), (3, 3, 3),
+]
+
+
+def test_defect_bound_never_exceeds_the_defect(monkeypatch):
+    # defect_reaches(d + 1) is False for the exact defect d of every base.
+    # Each window sieves all its rows into an empty cache before any piece
+    # is finished, so every triple's row keeps its large cofactors; the
+    # exact factorizations are shared through the cache.  The shape step
+    # must decide bases of (4,2,4), (3,5,1) and (3,2,4) at the limit b**l.
+    shaped = []
+    least_share = factoring._least_share
+    monkeypatch.setattr(factoring, "_least_share", lambda m, q: shaped.append(m) or least_share(m, q))
+    decided = set()
+    for lo, hi in ((2, 1_600), (19_000, 19_100)):
+        monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+        rows = {(q, n, l): factoring.sieve_pieces(lo, hi, n, l) for q, n, l in DEFECT_TRIPLES}
+        for (q, n, l), triple_rows in rows.items():
+            for b, row in zip(range(lo, hi + 1), triple_rows):
+                d = math.prod(p ** (-e % q) for p, e in factor_quotient(b, n, l).factors)
+                assert not factoring.defect_reaches(b, n, l, q, d + 1, pieces=row), (q, n, l, b)
+                before = len(shaped)
+                if factoring.defect_reaches(b, n, l, q, b**l, pieces=row) and len(shaped) > before:
+                    decided.add((q, n, l))
+    assert {(4, 2, 4), (3, 5, 1), (3, 2, 4)} <= decided
+
+
+# primes just above the trial limit B = 10,000
+P, R, S, T = 10_007, 10_009, 10_037, 10_039
+
+
+@pytest.mark.parametrize(
+    "cofactors,q,bound",
+    [
+        # one prime p**e: the share is exactly iroot(m, e)**(-e mod q)
+        ((P**2,), 3, P),
+        ((P**3,), 4, P),
+        # squarefree p*r with q = 2 (the cheap rule gives B + 1): {1} and
+        # the corner of {1, 1} with one prime at B give B * (m // B)
+        ((P * R,), 2, 10_000 * (P * R // 10_000)),
+        # p*r*s*t is no square, so {2, 2} and {4} are skipped and {2, 1},
+        # a huge square times a prime at B, gives B; only with that does
+        # the p*r beside it lift the bound past the cheap (B + 1)**2
+        ((P * R * S * T, P * R), 2, 10_000 * 10_000 * (P * R // 10_000)),
+    ],
+)
+def test_defect_bound_of_handmade_cofactors(cofactors, q, bound):
+    row = [(d, (), m) for d, m in enumerate(cofactors, 1)]
+
+    def reaches(limit):
+        return factoring.defect_reaches(2, 2, 1, q, limit, pieces=row)
+
+    assert reaches(bound) and not reaches(bound + 1)
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=200_000))
 def test_factor_roundtrip(n):

@@ -3,12 +3,15 @@ exits 0, and every value its comments promise is what the code gives."""
 
 import ast
 import shlex
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
+from repwords import factoring, search
 from repwords.cli import main
-from repwords.search import load_checkpoint, write_checkpoint
+from repwords.search import load_checkpoint, search_range, write_checkpoint
+from repwords.triples import Triple
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -74,3 +77,31 @@ def test_checkpoint_example_round_trips(tmp_path):
     path.write_text(text)
     write_checkpoint(str(path), load_checkpoint(str(path)))
     assert path.read_text() == text
+
+
+# the benchmark's sweep triples as (q, n, l), in the order it runs them
+SWEEP_TRIPLES = [
+    (2, 4, 2), (2, 5, 2), (2, 6, 1), (3, 3, 2), (3, 4, 1), (3, 5, 1), (4, 2, 4),
+    (4, 3, 2), (5, 3, 1), (6, 2, 3), (2, 3, 1), (2, 3, 2), (3, 2, 2), (3, 2, 3),
+    (3, 3, 1), (2, 4, 1), (4, 2, 2),
+]
+
+
+def test_sweep_factoring_count(monkeypatch):
+    # the sweep window of seed 1, cold in one process: the README's count
+    # of bases that reach full factorization, none of them of (4,2,4)
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    calls = []
+    factor_quotient = search.factor_quotient
+    monkeypatch.setattr(
+        search, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
+    )
+    lo, hi = 14, 1_512
+    per_triple = {}
+    for t in SWEEP_TRIPLES:
+        before = len(calls)
+        assert search_range(Triple(*t), lo, hi).unresolved == ()
+        per_triple[t] = len(calls) - before
+    assert per_triple[4, 2, 4] == 0 and len(calls) == 55
+    bases = len(SWEEP_TRIPLES) * (hi - lo + 1)
+    assert f"{len(calls)} of {bases:,} bases reach full factorization" in " ".join(README.split())

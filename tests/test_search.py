@@ -125,6 +125,35 @@ def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
     assert decided[rule] > 0 and set(decided) == {rule}
 
 
+# bases that only the exponent-shape step of defect_reaches rejects
+SHAPE_DECIDED = [
+    ((3, 5, 1), (10_005, 10_007, 10_010, 10_012, 10_023, 10_027)),
+    ((2, 3, 1), (10_008, 10_011, 10_029, 10_034)),
+    ((3, 3, 3), (102,)),
+    ((2, 4, 2), (515,)),
+]
+
+
+@pytest.mark.parametrize("triple,bases", SHAPE_DECIDED)
+def test_shape_decided_bases_match_brute(triple, bases, monkeypatch):
+    # each base reaches the shape step and is rejected there: it never
+    # reaches factor_quotient, and the oracle finds no solution either
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    shaped = []
+    least_share = factoring._least_share
+    monkeypatch.setattr(factoring, "_least_share", lambda m, q: shaped.append(m) or least_share(m, q))
+
+    def no_factoring(b, *args, **kwargs):
+        raise AssertionError(f"base {b} reached factor_quotient")
+
+    monkeypatch.setattr(search, "factor_quotient", no_factoring)
+    t = Triple(*triple)
+    for b in bases:
+        before = len(shaped)
+        assert solutions_for_base(t, b) == brute_solutions_for_base(t, b) == []
+        assert len(shaped) > before
+
+
 @pytest.mark.parametrize("q,n,l", [(3, 5, 1), (2, 4, 1), (3, 3, 1)])
 def test_sieved_range_matches_brute(q, n, l, monkeypatch):
     # a cold range scan sieves each chunk's pieces at once; every base of
