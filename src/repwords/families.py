@@ -4,13 +4,14 @@ family(t) is the one catalogue: a triple is admissible exactly when it
 has a family, and the admissible triples are (2, 2, l) for every l,
 (q, 2, 1) for every q, and the seven sporadic triples (2,3,1), (2,3,2),
 (3,2,2), (3,2,3), (3,3,1), (2,4,1), (4,2,2).  The two-repetition families
-come from explicit digit identities, the sporadic ones from orbits of a
-fundamental unit acting on a fixed-norm element of a real quadratic
-ring, sometimes thinned by a congruence so a divisibility side condition
-holds.  Generators build each candidate, then verify the full
-digit-string property before emitting it; a member that fails raises
-FamilyError.  The degenerate small members (base below 2) are dropped by
-each generator before they become candidates.
+come from explicit digit identities.  Each sporadic generator is a
+NormFamily (an orbit of a fundamental unit acting on a fixed-norm element
+of a real quadratic ring, sometimes thinned by a congruence so a
+divisibility side condition holds) plus a member map from an orbit
+element to (b, y, c); one orbit walker drops the degenerate members
+(base below 2) and turns the rest into records.  Every generator verifies
+the full digit-string property of each candidate before emitting it; a
+member that fails raises FamilyError.
 The bijective and Zeckendorf square families are one construction each,
 checked digit for digit; the bundled table of bijective pattern families
 is read and checked by corpus, which owns its format.
@@ -127,14 +128,6 @@ def _norm_family_stream(f: NormFamily) -> Iterator[QuadInt]:
         x = x * g
 
 
-def norm_family_iter(f: NormFamily, count: int) -> list[QuadInt]:
-    """First `count` members of the orbit, smallest first."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    stream = _norm_family_stream(f)
-    return [next(stream) for _ in range(count)]
-
-
 def find_seed(
     d: int,
     target_norm: int,
@@ -183,6 +176,21 @@ def _rec(q: int, n: int, l: int, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(q, n, l, b, y, c, to_canonical(c, b))
 
 
+def _orbit(
+    t: tuple[int, int, int],
+    fam: NormFamily,
+    member: Callable[[QuadInt], tuple[int, int, int]],
+    count: int,
+) -> list[SolutionRecord]:
+    """The first `count` verified records of triple t along fam's orbit.
+
+    member maps each orbit element to (b, y, c); members with base below 2
+    are dropped before they become candidates.
+    """
+    members = (member(el) for el in _norm_family_stream(fam))
+    return _emit_verified((_rec(*t, b, y, c) for b, y, c in members if b >= 2), count)
+
+
 # odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
 _PELL = NormFamily(2, -1, FUNDAMENTAL_UNITS[2], FUNDAMENTAL_UNITS[2], 2)
 
@@ -201,22 +209,16 @@ def gen_n21(q: int, count: int) -> list[SolutionRecord]:
 
 def gen_231(count: int) -> list[SolutionRecord]:
     """(2, 3, 1): c = 3 with 3 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(3)]."""
-    fam = NormFamily(
-        d=3,
-        target_norm=-3,
-        seed=find_seed(3, -3, a_odd=True, b_multiple=2),
-        unit=FUNDAMENTAL_UNITS[3],
-        step=2,
-    )
+    fam = NormFamily(3, -3, find_seed(3, -3, a_odd=True, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
+    return _orbit((2, 3, 1), fam, lambda el: ((el.a - 1) // 2, 3 * (el.b // 2), 3), count)
 
-    def stream():
-        for el in _norm_family_stream(fam):
-            x, y0 = (el.a - 1) // 2, el.b // 2
-            if x < 2:
-                continue
-            yield _rec(2, 3, 1, x, 3 * y0, 3)
 
-    return _emit_verified(stream(), count)
+def _member_232(el: QuadInt) -> tuple[int, int, int]:
+    x, y0 = (el.a - 1) // 2, el.b // 2
+    num = x * x - x + 1
+    if num % 49:
+        raise FamilyError(f"x^2 - x + 1 not divisible by 49 at x = {x}")
+    return x, 3 * y0 * (num // 7), 3 * (num // 49)
 
 
 def gen_232(count: int) -> list[SolutionRecord]:
@@ -226,65 +228,22 @@ def gen_232(count: int) -> list[SolutionRecord]:
     step is the order of the fundamental unit mod 98.
     """
     unit = FUNDAMENTAL_UNITS[3]
-    seed = find_seed(
-        3, -3, a_odd=True, b_multiple=2, a_residues=frozenset({39, 63}), modulus=98
-    )
-    fam = NormFamily(
-        d=3,
-        target_norm=-3,
-        seed=seed,
-        unit=unit,
-        step=unit_order(unit, 98),
-        congruence=(98, (seed.a % 98, seed.b % 98)),
-    )
-
-    def stream():
-        for el in _norm_family_stream(fam):
-            x, y0 = (el.a - 1) // 2, el.b // 2
-            num = x * x - x + 1
-            if num % 49:
-                raise FamilyError(f"x^2 - x + 1 not divisible by 49 at x = {x}")
-            c = 3 * (num // 49)
-            y = 3 * y0 * (num // 7)
-            yield _rec(2, 3, 2, x, y, c)
-
-    return _emit_verified(stream(), count)
+    seed = find_seed(3, -3, a_odd=True, b_multiple=2, a_residues=frozenset({39, 63}), modulus=98)
+    fam = NormFamily(3, -3, seed, unit, unit_order(unit, 98), (98, (seed.a % 98, seed.b % 98)))
+    return _orbit((2, 3, 2), fam, _member_232, count)
 
 
 def gen_322(count: int) -> list[SolutionRecord]:
     """(3, 2, 2): (2 y0)**3 = 4 y0 (x**2 + 1) along 2 y0**2 = x**2 + 1."""
-
-    def stream():
-        for el in _norm_family_stream(_PELL):
-            x, y0 = el.a, el.b
-            if x < 2:
-                continue
-            yield _rec(3, 2, 2, x, 2 * y0, 4 * y0)
-
-    return _emit_verified(stream(), count)
+    return _orbit((3, 2, 2), _PELL, lambda el: (el.a, 2 * el.b, 4 * el.b), count)
 
 
 def gen_331(count: int) -> list[SolutionRecord]:
     """(3, 3, 1): 343 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(7)]."""
     unit = FUNDAMENTAL_UNITS[7]
     seed = find_seed(7, -3, a_odd=True, b_multiple=14)
-    fam = NormFamily(
-        d=7,
-        target_norm=-3,
-        seed=seed,
-        unit=unit,
-        step=unit_order(unit, 14),
-        congruence=(14, (seed.a % 14, seed.b % 14)),
-    )
-
-    def stream():
-        for el in _norm_family_stream(fam):
-            x, y0 = (el.a - 1) // 2, el.b // 14
-            if x < 2:
-                continue
-            yield _rec(3, 3, 1, x, 7 * y0, y0)
-
-    return _emit_verified(stream(), count)
+    fam = NormFamily(7, -3, seed, unit, unit_order(unit, 14), (14, (seed.a % 14, seed.b % 14)))
+    return _orbit((3, 3, 1), fam, lambda el: ((el.a - 1) // 2, 7 * (el.b // 14), el.b // 14), count)
 
 
 def gen_323(count: int) -> list[SolutionRecord]:
@@ -298,31 +257,21 @@ def gen_323(count: int) -> list[SolutionRecord]:
 
 def gen_241(count: int) -> list[SolutionRecord]:
     """(2, 4, 1): b = x, c = (x+1)/2, y = y0 (x+1) on 2 y0**2 = x**2 + 1."""
+    return _orbit((2, 4, 1), _PELL, lambda el: (el.a, el.b * (el.a + 1), (el.a + 1) // 2), count)
 
-    def stream():
-        for el in _norm_family_stream(_PELL):
-            x, y0 = el.a, el.b
-            if x < 2:
-                continue
-            yield _rec(2, 4, 1, x, y0 * (x + 1), (x + 1) // 2)
 
-    return _emit_verified(stream(), count)
+def _member_422(el: QuadInt) -> tuple[int, int, int]:
+    c, rem = divmod(8 * 81 * el.b * el.b, 13**4)
+    if rem:
+        raise FamilyError(f"13^4 does not divide 648 * y0^2 at y0 = {el.b}")
+    return el.a, 6 * (el.b // 13), c
 
 
 def gen_422(count: int) -> list[SolutionRecord]:
     """(4, 2, 2): powers u**(14k+7) in Z[sqrt(2)], which force 13 | y0."""
     u = FUNDAMENTAL_UNITS[2]
     fam = NormFamily(d=2, target_norm=-1, seed=u**7, unit=u, step=14)
-
-    def stream():
-        for el in _norm_family_stream(fam):
-            x, y0 = el.a, el.b
-            c, rem = divmod(8 * 81 * y0 * y0, 13**4)
-            if rem:
-                raise FamilyError(f"13^4 does not divide 648 * y0^2 at y0 = {y0}")
-            yield _rec(4, 2, 2, x, 6 * (y0 // 13), c)
-
-    return _emit_verified(stream(), count)
+    return _orbit((4, 2, 2), fam, _member_422, count)
 
 
 def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:

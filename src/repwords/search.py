@@ -154,9 +154,9 @@ def solutions_for_base(
     if defect_reaches(b, t.n, t.l, t.q, c_hi, pieces=pieces):
         return []
     f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms, pieces=pieces)
-    r = f.value
     d = compute_defect(f, t.q)
-    s, exact = iroot(d * r, t.q)
+    # the quotient itself, not f.value: a wrong factorization must fail here
+    s, exact = iroot(d * ((b ** (t.n * t.l) - 1) // (b**t.l - 1)), t.q)
     if not exact:
         raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
     k = ceil_root(-(-c_lo // d), t.q)

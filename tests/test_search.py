@@ -13,7 +13,7 @@ import pytest
 
 import repwords
 from repwords import factoring, search
-from repwords.factoring import factor, factor_quotient
+from repwords.factoring import Factorization, factor, factor_quotient
 from repwords.families import gen_232
 from repwords.search import (
     Checkpoint,
@@ -81,6 +81,20 @@ def test_solutions_for_base_known_rows():
     # divides Phi_6(23) = 3 * 13**2: the bound must merge the two
     out = solutions_for_base(Triple(4, 2, 3), 23)
     assert [(r.y, r.c) for r in out] == [(78, 3042)]
+
+
+def test_wrong_factorization_raises(monkeypatch):
+    # a factorization whose product is not the quotient must stop the
+    # search, not lose y = 49 at base 18 to a defect grown by a spurious prime
+    real = search.factor_quotient
+
+    def spurious(*args, **kwargs):
+        f = real(*args, **kwargs)
+        return Factorization(tuple(sorted(f.factors + ((10_007, 1),))))
+
+    monkeypatch.setattr(search, "factor_quotient", spurious)
+    with pytest.raises(search.InvariantError, match="no 2-th power at base 18$"):
+        solutions_for_base(Triple(2, 3, 1), 18)
 
 
 def test_brute_matches_defect_scan():
