@@ -179,7 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-hi", type=int, required=True)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="number of processes that scan, counting this one (default 1)",
+        help="number of processes that scan, counting this one (default 1); "
+        "the others start only once this one's pace projects more scanning "
+        "left than starting them costs",
     )
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--factor-budget", type=int, default=None, metavar="MS")

@@ -231,13 +231,6 @@ class Factorization:
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be >= 1")
 
-    @property
-    def value(self) -> int:
-        v = 1
-        for p, e in self.factors:
-            v *= p ** e
-        return v
-
 
 def _trial_divide(n: int, out: dict[int, int]) -> int:
     """Divide n by the primes up to the trial limit into out; returns the

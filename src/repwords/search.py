@@ -14,17 +14,20 @@ oracle enumerating every c directly backs the fast path in tests.
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
 deterministic final result.  The calling process is one of the workers:
-it scans chunks from the front while forked helpers scan from the back.
+it scans chunks from the front, and once its own pace projects the bases
+left to take longer than starting a pool costs, forked helpers scan from
+the back.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import tempfile
+import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -111,7 +114,8 @@ def verify_solution(rec: SolutionRecord) -> bool:
 
 
 def compute_defect(f: Factorization, q: int) -> int:
-    """Least d >= 1 such that d * f.value is a perfect q-th power."""
+    """Least d >= 1 such that d times the product of f's prime powers is
+    a perfect q-th power."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     d = 1
@@ -155,7 +159,7 @@ def solutions_for_base(
         return []
     f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms, pieces=pieces)
     d = compute_defect(f, t.q)
-    # the quotient itself, not f.value: a wrong factorization must fail here
+    # the quotient itself, not f's product: a wrong factorization must fail here
     s, exact = iroot(d * ((b ** (t.n * t.l) - 1) // (b**t.l - 1)), t.q)
     if not exact:
         raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
@@ -383,6 +387,12 @@ def _scan_chunk(
 # most bases scanned between two appends to the checkpoint
 _FLUSH_EVERY = 256
 
+# seconds of scanning left, projected from this process's pace, above
+# which helpers start: a pool costs about 30 ms to import, fork and shut
+# down, and on 2 CPUs the two processes slow each other, so a pool started
+# after the first chunk lost on scans of up to about 0.5 s
+_HELPERS_PAY_S = 0.25
+
 
 def search_range(
     t: Triple,
@@ -397,12 +407,14 @@ def search_range(
 
     The gaps are cut into chunks of at most _FLUSH_EVERY bases and a
     quarter of the gap per worker.  This process scans chunks from the
-    front, and workers - 1 forked helpers, about two chunks in flight
-    each, scan from the back; finished chunks are appended to the
-    checkpoint as they come, each range line after its records, so a
-    kill at any byte leaves every unfinished chunk a gap.  The final
-    checkpoint is deterministic: independent of worker count, chunking,
-    and any interrupt/resume history.
+    front and times them.  After each one, if its time per base times the
+    bases left exceeds _HELPERS_PAY_S, workers - 1 forked helpers start
+    and, about two chunks in flight each, scan from the back; a scan that
+    never gets there runs in this process alone.  Finished chunks are
+    appended to the checkpoint as they come, each range line after its
+    records, so a kill at any byte leaves every unfinished chunk a gap.
+    The final checkpoint is deterministic: independent of worker count,
+    chunking, whether helpers started, and any interrupt/resume history.
     """
     if b_lo < 2 or b_lo > b_hi:
         raise ValueError("need 2 <= b_lo <= b_hi")
@@ -443,25 +455,39 @@ def search_range(
             appender.flush()
 
     scan = partial(_scan_chunk, t, factor_budget_ms)
-    # the caller scans from the front, workers - 1 helpers from the back;
-    # the pool forks on its first submit, so a one-chunk gap forks nothing
-    in_flight: dict[Future, tuple[int, int]] = {}
-    try:
-        with ProcessPoolExecutor(workers - 1) if workers > 1 else nullcontext() as helpers:
-            while chunks or in_flight:
-                while helpers and len(chunks) > 1 and len(in_flight) < 2 * (workers - 1):
-                    chunk = chunks.pop()
-                    in_flight[helpers.submit(scan, chunk)] = chunk
-                if chunks:
-                    chunk = chunks.popleft()
-                    note(chunk, scan(chunk))
-                else:
-                    wait(in_flight, return_when=FIRST_COMPLETED)
-                for fut in [f for f in in_flight if f.done()]:
-                    note(in_flight.pop(fut), fut.result())
-    finally:
+    # the caller scans from the front; workers - 1 helpers start, and scan
+    # from the back, once the caller's pace projects the bases left past
+    # _HELPERS_PAY_S; on any exit the pool is shut down, then the appender
+    # closed
+    in_flight: dict[concurrent.futures.Future, tuple[int, int]] = {}
+    helpers = None
+    scanned, spent = 0, 0.0
+    with ExitStack() as stack:
         if appender:
-            appender.close()
+            stack.enter_context(appender)
+        while chunks or in_flight:
+            if helpers is None and workers > 1 and scanned and (
+                spent / scanned * sum(hi - lo + 1 for lo, hi in chunks) > _HELPERS_PAY_S
+            ):
+                helpers = stack.enter_context(
+                    concurrent.futures.ProcessPoolExecutor(workers - 1)
+                )
+            while helpers and len(chunks) > 1 and len(in_flight) < 2 * (workers - 1):
+                chunk = chunks.pop()
+                in_flight[helpers.submit(scan, chunk)] = chunk
+            if chunks:
+                chunk = chunks.popleft()
+                start = time.perf_counter()
+                found = scan(chunk)
+                spent += time.perf_counter() - start
+                scanned += chunk[1] - chunk[0] + 1
+                note(chunk, found)
+            else:
+                concurrent.futures.wait(
+                    in_flight, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+            for fut in [f for f in in_flight if f.done()]:
+                note(in_flight.pop(fut), fut.result())
 
     final = Checkpoint(
         t, tuple(completed), tuple(new_solutions), tuple(new_unresolved)

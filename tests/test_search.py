@@ -1,11 +1,14 @@
 """Range search, its brute-force oracle, checkpoints, and the
 Zeckendorf square scans."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter, OrderedDict
 from math import prod
 
@@ -262,17 +265,94 @@ def test_search_partition_determinism(tmp_path):
     assert merged.normalized().completed == ((2, 300),)
 
 
-def test_search_workers_match_serial():
+def test_search_workers_match_serial(monkeypatch):
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     t = Triple(2, 3, 1)
     assert search_range(t, 2, 200, workers=2) == search_range(t, 2, 200)
 
 
-def test_search_workers_write_identical_checkpoints(tmp_path):
+def test_search_workers_write_identical_checkpoints(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     t = Triple(2, 2, 1)
     one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     search_range(t, 2, 300, str(one), workers=1)
     search_range(t, 2, 300, str(two), workers=2)
     assert one.read_bytes() == two.read_bytes()
+
+
+def _pools_started(monkeypatch):
+    """Record the arguments of every helper pool search_range starts."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda *a: started.append(a) or real(*a)
+    )
+    return started
+
+
+def test_helpers_start_only_when_the_scan_left_repays_them(tmp_path, monkeypatch):
+    t = Triple(2, 2, 1)
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    search_range(t, 2, 300, str(one), workers=1)
+
+    def refuse(*a):
+        raise AssertionError("a short gap started a helper pool")
+
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        search_range(t, 2, 300, str(two), workers=2)
+    assert two.read_bytes() == one.read_bytes()
+
+    two.unlink()
+    started = _pools_started(monkeypatch)
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    search_range(t, 2, 300, str(two), workers=2)
+    assert started == [(1,)]
+    assert two.read_bytes() == one.read_bytes()
+
+
+def test_caller_error_shuts_the_helpers_down(monkeypatch):
+    # the caller's second chunk, [21, 39], raises while the helper is still
+    # scanning [116, 150] from the back; the pool is shut down before the error
+    # leaves search_range
+    real = search.solutions_for_base
+
+    def solve(t, b, **kw):
+        if b == 30:
+            raise search.InvariantError("planted")
+        if b >= 116:
+            time.sleep(0.002)
+        return real(t, b, **kw)
+
+    monkeypatch.setattr(search, "solutions_for_base", solve)
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    started = _pools_started(monkeypatch)
+    with pytest.raises(search.InvariantError, match="planted"):
+        search_range(Triple(2, 3, 1), 2, 150, workers=2)
+    assert started == [(1,)]
+    assert multiprocessing.active_children() == []
+
+
+def test_short_search_loads_no_pool_module():
+    script = textwrap.dedent(
+        """
+        import sys
+        from repwords import cli
+
+        pool_modules = {"multiprocessing", "concurrent.futures.process"}
+        assert not pool_modules & set(sys.modules), "loaded by import"
+        argv = "search --q 2 --n 2 --l 1 --b-lo 2 --b-hi 300 --workers 2"
+        assert cli.main(argv.split()) == 0
+        sys.exit(sorted(pool_modules & set(sys.modules)) or None)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repwords.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("q,n,l,b,y,c,w\n")
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -335,6 +415,7 @@ def test_checkpoint_cut_between_out_of_order_chunks_resumes(tmp_path, monkeypatc
     # with two workers a helper scans chunks from the back, so their range
     # lines are appended out of order; a kill that leaves the file cut at
     # any line boundary resumes to the bytes of an uninterrupted 1-worker run
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     t = Triple(2, 3, 1)
     path = tmp_path / "cp.jsonl"
     write_checkpoint(str(path), Checkpoint(t, (), (), ()))
@@ -399,6 +480,7 @@ def test_invariant_checks_survive_optimize():
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
+        search._HELPERS_PAY_S = 0
         real = search._record
         search._record = lambda *a: dataclasses.replace(real(*a), y=real(*a).y + 1)
         for solve in (search.solutions_for_base, search.brute_solutions_for_base):
