@@ -37,6 +37,7 @@ from .words import (
     canonical_word,
     format_decimal,
     parse_decimal,
+    parse_decimals,
     repeat_word,
     to_bijective,
     to_zeckendorf,
@@ -174,12 +175,12 @@ def builtin_corpora() -> tuple[str, ...]:
 
 
 def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
-    q, n, l, b, y, c = map(parse_decimal, cells[:6])
     m = _WORD_CELL.fullmatch(cells[6].strip())
+    # the six cells are parsed, and may fail, before the word cell is judged
+    q, n, l, b, y, c, *digits = parse_decimals(cells[:6] + (m.group(1).split(",") if m else []))
     if not m:
         raise MalformedCorpusError(f"{where}: bad word cell {cells[6]!r}")
-    digits = tuple(map(parse_decimal, m.group(1).split(",")))
-    return SolutionRecord(q, n, l, b, y, c, canonical_word(b, digits))
+    return SolutionRecord(q, n, l, b, y, c, canonical_word(b, tuple(digits)))
 
 
 def _parse_rows(kind: str, numbered, name: str):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import operator
 import os
 import tempfile
 import time
@@ -45,9 +46,11 @@ from .triples import Triple
 from .words import (
     System,
     Word,
+    canonical_digits,
     fibonacci,
     format_decimal,
     parse_decimal,
+    parse_decimals,
     split_repetition,
     to_canonical,
     to_zeckendorf,
@@ -103,7 +106,7 @@ def check_solution(rec: SolutionRecord) -> str | None:
     v = rec.y**rec.q
     if v * (rec.b**rec.l - 1) != rec.c * (rec.b ** (rec.n * rec.l) - 1):
         return "power-equation"
-    if to_canonical(v, rec.b).digits != rec.w.digits * rec.n:
+    if canonical_digits(v, rec.b) != rec.w.digits * rec.n:
         return "digit-string"
     return None
 
@@ -205,11 +208,15 @@ class Checkpoint:
 
     def normalized(self) -> Checkpoint:
         """Canonical form: merged ranges, records sorted and deduplicated."""
-        sols = sorted(set(self.solutions), key=lambda s: (s.b, s.y))
+        sols = self.solutions
+        keys = [(s.b, s.y) for s in sols]
+        # records strictly ascending by (b, y) are already sorted and distinct
+        if not all(map(operator.lt, keys, keys[1:])):
+            sols = tuple(sorted(set(sols), key=lambda s: (s.b, s.y)))
         return Checkpoint(
             self.triple,
             _merged(self.completed),
-            tuple(sols),
+            sols,
             tuple(sorted(set(self.unresolved))),
         )
 
@@ -257,7 +264,8 @@ def _range_line(lo: int, hi: int) -> str:
 
 def _solution_line(r: SolutionRecord) -> str:
     q, n, l, b, y, c = map(format_decimal, (r.q, r.n, r.l, r.b, r.y, r.c))
-    w = ", ".join(f'"{format_decimal(d)}"' for d in r.w.digits)
+    w = '", "'.join(map(format_decimal, r.w.digits))
+    w = f'"{w}"' if w else w  # an empty word is []
     return (
         f'{{"solution": {{"q": "{q}", "n": "{n}", "l": "{l}", "b": "{b}",'
         f' "y": "{y}", "c": "{c}", "w": [{w}]}}}}'
@@ -272,8 +280,8 @@ def _solution_from_json(obj: dict) -> SolutionRecord:
     cells, w = [obj[k] for k in "qnlbyc"], obj["w"]
     if not (isinstance(w, list) and all(isinstance(s, str) for s in cells + w)):
         raise CheckpointError(f"expected decimal strings, got {obj!r:.64}")
-    q, n, l, b, y, c = map(parse_decimal, cells)
-    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(map(parse_decimal, w))))
+    q, n, l, b, y, c, *digits = parse_decimals(cells + w)
+    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(digits)))
 
 
 def checkpoint_lines(cp: Checkpoint) -> list[str]:
@@ -407,7 +415,8 @@ def search_range(
 
     The gaps are cut into chunks of at most _FLUSH_EVERY bases and a
     quarter of the gap per worker.  This process scans chunks from the
-    front and times them.  After each one, if its time per base times the
+    front and times all but the first, which also pays for the one-time
+    sieve tables.  After each timed one, if its time per base times the
     bases left exceeds _HELPERS_PAY_S, workers - 1 forked helpers start
     and, about two chunks in flight each, scan from the back; a scan that
     never gets there runs in this process alone.  Finished chunks are
@@ -458,10 +467,11 @@ def search_range(
     # the caller scans from the front; workers - 1 helpers start, and scan
     # from the back, once the caller's pace projects the bases left past
     # _HELPERS_PAY_S; on any exit the pool is shut down, then the appender
-    # closed
+    # closed.  The pace leaves out the caller's first chunk, which also
+    # builds the sieve tables a fresh process lacks
     in_flight: dict[concurrent.futures.Future, tuple[int, int]] = {}
     helpers = None
-    scanned, spent = 0, 0.0
+    first, scanned, spent = True, 0, 0.0
     with ExitStack() as stack:
         if appender:
             stack.enter_context(appender)
@@ -479,8 +489,10 @@ def search_range(
                 chunk = chunks.popleft()
                 start = time.perf_counter()
                 found = scan(chunk)
-                spent += time.perf_counter() - start
-                scanned += chunk[1] - chunk[0] + 1
+                if not first:
+                    spent += time.perf_counter() - start
+                    scanned += chunk[1] - chunk[0] + 1
+                first = False
                 note(chunk, found)
             else:
                 concurrent.futures.wait(

@@ -187,13 +187,18 @@ def _horner(digits: tuple[int, ...], base: int) -> int:
     return v
 
 
-def to_canonical(x: int, base: int) -> Word:
-    """Base-b digit word of x, most significant first; x = 0 gives ()."""
+def canonical_digits(x: int, base: int) -> tuple[int, ...]:
+    """Base-b digits of x, most significant first, without building a Word."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    return Word(System.CANONICAL, base, tuple(reversed(_digits(x, base))))
+    return tuple(reversed(_digits(x, base)))
+
+
+def to_canonical(x: int, base: int) -> Word:
+    """Base-b digit word of x, most significant first; x = 0 gives ()."""
+    return Word(System.CANONICAL, base, canonical_digits(x, base))
 
 
 def to_bijective(x: int, base: int) -> Word:
@@ -320,6 +325,16 @@ def parse_decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid decimal {text[:32]!r} ({len(text)} characters)")
     return _decimal_value(text)
+
+
+def parse_decimals(texts: list[str]) -> list[int]:
+    """parse_decimal of each text, with the same errors.  Texts that are
+    all non-empty and together hold at most _SPLIT_DIGITS ASCII digits
+    pass one test of their join and go straight to int()."""
+    joined = "".join(texts)
+    if all(texts) and len(joined) <= _SPLIT_DIGITS and joined.isascii() and joined.isdigit():
+        return list(map(int, texts))
+    return list(map(parse_decimal, texts))
 
 
 def _decimal_value(text: str) -> int:

@@ -2,9 +2,11 @@
 Zeckendorf square scans."""
 
 import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -311,14 +313,34 @@ def test_helpers_start_only_when_the_scan_left_repays_them(tmp_path, monkeypatch
     assert two.read_bytes() == one.read_bytes()
 
 
+def test_first_chunk_does_not_set_the_pace(monkeypatch):
+    # the caller's first chunk also builds the one-time sieve tables, so its
+    # pace alone, here 0.2 s for 38 of 299 bases, starts no helper
+    real = search._scan_chunk
+
+    def scan(t, budget, chunk):
+        if chunk[0] == 2:
+            time.sleep(0.2)
+        return real(t, budget, chunk)
+
+    def refuse(*a):
+        raise AssertionError("the first chunk's pace started a helper pool")
+
+    monkeypatch.setattr(search, "_scan_chunk", scan)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    t = Triple(2, 2, 1)
+    assert search_range(t, 2, 300, workers=2) == search_range(t, 2, 300)
+
+
 def test_caller_error_shuts_the_helpers_down(monkeypatch):
-    # the caller's second chunk, [21, 39], raises while the helper is still
-    # scanning [116, 150] from the back; the pool is shut down before the error
+    # the pool starts after the caller's second chunk, the first it times;
+    # its third, [40, 58], raises while the helper is still scanning
+    # [116, 150] from the back; the pool is shut down before the error
     # leaves search_range
     real = search.solutions_for_base
 
     def solve(t, b, **kw):
-        if b == 30:
+        if b == 45:
             raise search.InvariantError("planted")
         if b >= 116:
             time.sleep(0.002)
@@ -365,15 +387,74 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("bad", ["1_000", "+12", "\u0661\u0662", "-5"])
+_CELLS_18 = {"q": "2", "n": "3", "l": "1", "b": "18", "y": "49", "c": "7", "w": ["7"]}
+
+
+@pytest.mark.parametrize("bad", ["1_000", "+12", "\u0661\u0662", "-5", ""])
 def test_checkpoint_integers_are_ascii_digits_at_any_length(tmp_path, bad):
-    # int() takes each of these up to 4,300 digits and refuses it past them
+    # int() takes each of these but "" up to 4,300 digits and refuses it past
+    # them; an unresolved base, a solution's y and a digit of its w refuse it
     path = tmp_path / "bad.jsonl"
-    for text in (bad, bad[:-1] + bad[-1] * 4001):
-        lines = [{"triple": ["2", "3", "1"]}, {"unresolved": text}]
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
-        with pytest.raises(CheckpointError, match="bad.jsonl:2:"):
-            load_checkpoint(str(path))
+    for text in (bad, bad[:-1] + bad[-1:] * 4001):
+        for obj in (
+            {"unresolved": text},
+            {"solution": {**_CELLS_18, "y": text}},
+            {"solution": {**_CELLS_18, "w": [text]}},
+        ):
+            lines = [{"triple": ["2", "3", "1"]}, obj]
+            path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+            with pytest.raises(CheckpointError, match="bad.jsonl:2: invalid decimal"):
+                load_checkpoint(str(path))
+
+
+def test_checkpoint_cells_may_be_padded(tmp_path):
+    # parse_decimal strips surrounding whitespace, in solution cells too
+    path = tmp_path / "cp.jsonl"
+    lines = [{"triple": ["2", "3", "1"]}, {"solution": {**_CELLS_18, "y": " 49", "w": [" 7"]}}]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    assert load_checkpoint(str(path)).solutions == (rec(2, 3, 1, 18, 49, 7),)
+
+
+def test_load_checks_every_record_under_optimize(tmp_path):
+    # one w digit of a middle record is changed, the JSON kept valid: load
+    # refuses the file, with asserts stripped too
+    path = tmp_path / "cp.jsonl"
+    search_range(Triple(2, 2, 2), 2, 200, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if '"solution"' in line]
+    i = at[len(at) // 2]
+    obj = json.loads(lines[i])
+    cells = obj["solution"]
+    last = int(cells["w"][-1])
+    cells["w"][-1] = str(last + 1 if last + 1 < int(cells["b"]) else last - 1)
+    lines[i] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines))
+    expect = f"cp.jsonl:{i + 1}: stored solution fails: word-value"
+    with pytest.raises(CheckpointError, match=expect):
+        load_checkpoint(str(path))
+    script = textwrap.dedent(
+        """
+        import sys
+        from repwords.search import CheckpointError, load_checkpoint
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        try:
+            load_checkpoint(sys.argv[1])
+        except CheckpointError as e:
+            print(e)
+        else:
+            sys.exit("a corrupted record loaded")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repwords.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
 
 
 def test_checkpoint_holds_records_of_any_size(tmp_path):
@@ -532,6 +613,22 @@ def test_checkpoint_normalize_merges_ranges():
     n = cp.normalized()
     assert n.completed == ((2, 20), (30, 40))
     assert n.gaps(2, 50) == [(21, 29), (41, 50)]
+
+
+def test_checkpoint_normalize_sorts_and_deduplicates_records():
+    t = Triple(2, 2, 1)
+    sols = search_range(t, 2, 120).solutions
+    assert len({r.b for r in sols}) < len(sols)  # some base holds two records
+    shuffled = list(sols) * 2
+    random.Random(1).shuffle(shuffled)
+    for given in (sols, tuple(shuffled), sols[:1] * 2 + sols[1:]):
+        assert Checkpoint(t, (), given, ()).normalized().solutions == sols
+    # distinct records at one (b, y) are both kept
+    r = sols[0]
+    twin = dataclasses.replace(r, c=r.c + 1)
+    for given in ((r, twin), (twin, r, twin)):
+        assert set(Checkpoint(t, (), given, ()).normalized().solutions) == {r, twin}
+        assert len(Checkpoint(t, (), given, ()).normalized().solutions) == 2
 
 
 def test_checkpoint_gaps_of_unsorted_ranges():

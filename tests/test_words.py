@@ -15,6 +15,7 @@ from repwords.words import (
     fibonacci,
     format_decimal,
     parse_decimal,
+    parse_decimals,
     render_word,
     repeat_word,
     split_repetition,
@@ -254,6 +255,8 @@ def test_decimal_text_round_trips(length):
     assert parse_decimal(text) == x
     assert format_decimal(x) == text
     assert parse_decimal("0" * length + "7") == 7
+    assert parse_decimals([text, " 7", "0" * length + "7"]) == [x, 7, 7]
+    assert parse_decimals([text, "7"]) == [x, 7]
     if length < 10_000:
         for v, t in ((10 ** (length - 1), "1" + "0" * (length - 1)), (10**length - 1, "9" * length)):
             assert format_decimal(v) == t and parse_decimal(t) == v
