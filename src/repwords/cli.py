@@ -1,7 +1,10 @@
 """Command-line front end: one verb per library module.
 
 Exit codes are a stable contract: 0 success, 1 verification or
-operation failure, 2 usage error, 3 checkpoint error.
+operation failure, 2 usage error, 3 checkpoint error.  The verbs only
+raise; ``main`` alone maps their errors to exit codes.  InvariantError and
+FamilyError are bugs, not usage errors: they propagate as a traceback
+(Python's exit 1).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .corpus import (
     write_rows,
 )
 from .factoring import FactorBudgetError, factor_quotient
-from .families import family, gen_bijective_square, gen_fibonacci_family, is_admissible
+from .families import FamilyError, family, gen_bijective_square, gen_fibonacci_family, is_admissible
 from .search import CheckpointError, search_range
 from .triples import F_value, Triple
 from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
@@ -35,26 +38,14 @@ def _parse_triple(text: str) -> Triple:
 
 
 def _cmd_search(args) -> int:
-    try:
-        t = Triple(args.q, args.n, args.l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cp = search_range(
-            t,
-            args.b_lo,
-            args.b_hi,
-            args.checkpoint,
-            workers=args.workers,
-            factor_budget_ms=args.factor_budget,
-        )
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cp = search_range(
+        Triple(args.q, args.n, args.l),
+        args.b_lo,
+        args.b_hi,
+        args.checkpoint,
+        workers=args.workers,
+        factor_budget_ms=args.factor_budget,
+    )
     write_records(cp.solutions, args.format)
     for b in cp.unresolved:
         print(f"warning: base {b} unresolved (factoring budget exhausted)", file=sys.stderr)
@@ -65,46 +56,32 @@ def _cmd_generate(args) -> int:
     t: Triple = args.triple
     count = args.count
     if count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be >= 1")
 
     if args.system == "bijective":
         # one square family member per base, at the requested word length
         if (t.q, t.n) != (2, 2) or t.l < 2:
-            print(
-                "error: bijective generation needs --triple 2,2,L with L >= 2",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("bijective generation needs --triple 2,2,L with L >= 2")
         rows = [(b, t.l, *gen_bijective_square(b, t.l)) for b in range(2, count + 2)]
         write_rows(("b", "l", "y", "w"), rows, args.format)
         return 0
 
     if args.system == "fibonacci":
         if (t.q, t.n) != (2, 2):
-            print("error: fibonacci generation needs --triple 2,2,L", file=sys.stderr)
-            return 2
+            raise ValueError("fibonacci generation needs --triple 2,2,L")
         rows = [(k, *gen_fibonacci_family(k)) for k in range(1, count + 1)]
         write_rows(("param", "y", "w"), rows, args.format)
         return 0
 
     generate = family(t)
     if generate is None:
-        print(
-            f"error: no infinite family exists for triple {t.q},{t.n},{t.l}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"no infinite family exists for triple {t.q},{t.n},{t.l}")
     write_records(generate(count), args.format)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    try:
-        t = Triple(args.q, args.n, args.l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t = Triple(args.q, args.n, args.l)
     verdict = "admissible" if is_admissible(t) else "inadmissible"
     print(f"{verdict} F={F_value(t)}")
     return 0
@@ -113,27 +90,16 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     names = [args.corpus] if args.corpus else list(builtin_corpora())
     failed = False
-    try:
-        for name in names:
-            corpus = load_corpus(name)
-            report = verify_corpus(corpus, pattern_n_max=args.pattern_n_max)
-            print(format_report(report))
-            failed = failed or not report.ok
-    except ValueError as exc:  # a MalformedCorpusError or a bad --pattern-n-max
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in names:
+        corpus = load_corpus(name)
+        report = verify_corpus(corpus, pattern_n_max=args.pattern_n_max)
+        print(format_report(report))
+        failed = failed or not report.ok
     return 1 if failed else 0
 
 
 def _cmd_factor(args) -> int:
-    try:
-        f = factor_quotient(args.b, args.n, args.l, budget_ms=args.budget)
-    except FactorBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = factor_quotient(args.b, args.n, args.l, budget_ms=args.budget)
     print(" * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors))
     return 0
 
@@ -141,25 +107,18 @@ def _cmd_factor(args) -> int:
 def _cmd_repr(args) -> int:
     system = System.ZECKENDORF if args.system == "fibonacci" else System(args.system)
     if args.x < 0:
-        print("error: --x must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--x must be >= 0")
     if system is System.ZECKENDORF:
         if args.base not in (None, 2):
-            print("error: the Fibonacci system has no base parameter", file=sys.stderr)
-            return 2
+            raise ValueError("the Fibonacci system has no base parameter")
         word = to_zeckendorf(args.x)
     else:
         if args.base is None or args.base < 2:
-            print("error: --base must be >= 2", file=sys.stderr)
-            return 2
-        try:
-            if system is System.CANONICAL:
-                word = to_canonical(args.x, args.base)
-            else:
-                word = to_bijective(args.x, args.base)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("--base must be >= 2")
+        if system is System.CANONICAL:
+            word = to_canonical(args.x, args.base)
+        else:
+            word = to_bijective(args.x, args.base)
     print(render_word(word))
     return 0
 
@@ -232,7 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 3
+    except FactorBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FamilyError:
+        raise  # a ValueError, but a generator broke its own invariant: a bug
+    except ValueError as exc:  # a bad argument, or a MalformedCorpusError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ import json
 import pytest
 
 from repwords import SolutionRecord, Triple, canonical_word, check_solution, gen_232, is_admissible
+from repwords import cli
 from repwords.cli import main
+from repwords.families import FamilyError
+from repwords.search import InvariantError
 
 
 def run(capsys, *argv):
@@ -29,12 +32,6 @@ def test_classify_inadmissible(capsys):
     code, out, _ = run(capsys, "classify", "2", "5", "1")
     assert code == 0
     assert out == "inadmissible F=3/10\n"
-
-
-def test_classify_rejects_bad_triple(capsys):
-    code, _, err = run(capsys, "classify", "1", "3", "1")
-    assert code == 2
-    assert "error:" in err
 
 
 # -- search -----------------------------------------------------------------
@@ -72,12 +69,6 @@ def test_search_jsonl(capsys):
         "c": "7",
         "w": ["7"],
     }
-
-
-def test_search_rejects_bad_range(capsys):
-    code, _, err = run(capsys, *"search --q 2 --n 3 --l 1 --b-lo 30 --b-hi 2".split())
-    assert code == 2
-    assert "error:" in err
 
 
 def test_search_checkpoint_resume(capsys, tmp_path):
@@ -397,22 +388,10 @@ def test_factor_output(capsys):
     assert code == 0 and out == "3^2 * 7\n"
 
 
-def test_factor_budget_exhausted(capsys):
-    code, _, err = run(capsys, *"factor --b 5 --n 2 --l 59 --budget 1".split())
-    assert code == 1
-    assert "error:" in err
-
-
 def test_factor_rejects_negative_budget(capsys):
     code, out, err = run(capsys, *"factor --b 5 --n 2 --l 59 --budget -1".split())
     assert (code, out) == (2, "")
     assert err == "error: factoring budget must be >= 0, got -1\n"
-
-
-def test_factor_rejects_bad_base(capsys):
-    code, _, err = run(capsys, *"factor --b 1 --n 3 --l 1".split())
-    assert code == 2
-    assert "error:" in err
 
 
 # -- repr -------------------------------------------------------------------
@@ -430,20 +409,6 @@ def test_repr_systems(capsys):
         assert out == expected + "\n"
 
 
-def test_repr_validation(capsys):
-    for argv in [
-        "repr --x -1 --base 10",
-        "repr --x 5",
-        "repr --x 5 --base 1",
-        "repr --x 5 --base 3 --system zeckendorf",
-        "repr --x 0 --base 2 --system bijective",
-    ]:
-        code, _, err = run(capsys, *argv.split())
-        assert code == 2, argv
-        assert "error:" in err
-    assert err == "error: x must be >= 1\n"  # the bijective case, run last
-
-
 # -- argparse plumbing ------------------------------------------------------
 
 
@@ -457,3 +422,126 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+# -- the exit-code contract -------------------------------------------------
+
+# every error branch of every verb, with the exit code and stderr byte for
+# byte; <tmp> is the test's directory, which holds the files written below
+ERROR_CONTRACT = {
+    "search-bad-triple": (
+        "search --q 1 --n 3 --l 1 --b-lo 2 --b-hi 9", 2,
+        "error: q must be >= 2, got 1\n",
+    ),
+    "search-bad-range": (
+        "search --q 2 --n 3 --l 1 --b-lo 30 --b-hi 2", 2,
+        "error: need 2 <= b_lo <= b_hi\n",
+    ),
+    "search-no-workers": (
+        "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 9 --workers 0", 2,
+        "error: workers must be >= 1\n",
+    ),
+    "search-negative-budget": (
+        "search --q 2 --n 2 --l 59 --b-lo 5 --b-hi 5 --factor-budget -5", 2,
+        "error: factoring budget must be >= 0, got -5\n",
+    ),
+    "search-foreign-checkpoint": (
+        "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 9 --checkpoint <tmp>/other.jsonl", 3,
+        "checkpoint error: <tmp>/other.jsonl: checkpoint is for triple"
+        " Triple(q=3, n=2, l=1), expected Triple(q=2, n=3, l=1)\n",
+    ),
+    "generate-no-family": (
+        "generate --triple 2,5,1 --count 1", 2,
+        "error: no infinite family exists for triple 2,5,1\n",
+    ),
+    "generate-no-count": (
+        "generate --triple 2,3,1 --count 0", 2,
+        "error: --count must be >= 1\n",
+    ),
+    "generate-bijective-needs-22": (
+        "generate --triple 2,3,2 --system bijective --count 1", 2,
+        "error: bijective generation needs --triple 2,2,L with L >= 2\n",
+    ),
+    "generate-bijective-needs-l2": (
+        "generate --triple 2,2,1 --system bijective --count 1", 2,
+        "error: bijective generation needs --triple 2,2,L with L >= 2\n",
+    ),
+    "generate-fibonacci-needs-22": (
+        "generate --triple 3,2,1 --system fibonacci --count 1", 2,
+        "error: fibonacci generation needs --triple 2,2,L\n",
+    ),
+    "generate-bad-triple": (
+        "generate --triple 1,3,1 --count 1", 2,
+        "usage: repwords generate [-h] --triple Q,N,L --count K\n"
+        "                         [--system {canonical,bijective,fibonacci}]\n"
+        "                         [--format {csv,jsonl}]\n"
+        "repwords generate: error: argument --triple: q must be >= 2, got 1\n",
+    ),
+    "classify-bad-triple": ("classify 1 3 1", 2, "error: q must be >= 2, got 1\n"),
+    "verify-unknown-corpus": (
+        "verify --corpus nope", 2,
+        "error: no such corpus 'nope'; bundled: bijective_families, c22_example,"
+        " fibonacci_squares, sporadic, triple_231, triple_232, triple_241,"
+        " triple_322, triple_323, triple_331, triple_422\n",
+    ),
+    "verify-negative-pattern-n-max": (
+        "verify --corpus bijective_families --pattern-n-max -1", 2,
+        "error: pattern_n_max must be >= 0, got -1\n",
+    ),
+    "verify-malformed-corpus": (
+        "verify --corpus <tmp>/broken.csv", 2, "error: broken:2: expected 7 columns\n"
+    ),
+    "verify-failing-row": ("verify --corpus <tmp>/bad.csv", 1, ""),
+    "factor-budget-exhausted": (
+        "factor --b 5 --n 2 --l 59 --budget 1", 1, "error: factoring budget exceeded\n"
+    ),
+    "factor-negative-budget": (
+        "factor --b 5 --n 2 --l 59 --budget -1", 2,
+        "error: factoring budget must be >= 0, got -1\n",
+    ),
+    "factor-bad-base": ("factor --b 1 --n 3 --l 1", 2, "error: base must be >= 2, got 1\n"),
+    "repr-negative-x": ("repr --x -1 --base 10", 2, "error: --x must be >= 0\n"),
+    "repr-no-base": ("repr --x 5", 2, "error: --base must be >= 2\n"),
+    "repr-base-1": ("repr --x 5 --base 1", 2, "error: --base must be >= 2\n"),
+    "repr-zeckendorf-base": (
+        "repr --x 5 --base 3 --system zeckendorf", 2,
+        "error: the Fibonacci system has no base parameter\n",
+    ),
+    "repr-bijective-zero": (
+        "repr --x 0 --base 2 --system bijective", 2, "error: x must be >= 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CONTRACT)
+def test_error_contract(capsys, tmp_path, monkeypatch, case):
+    argv, code, err = ERROR_CONTRACT[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    (tmp_path / "other.jsonl").write_text('{"triple": ["3", "2", "1"]}\n')
+    (tmp_path / "broken.csv").write_text("q,n,l,b,y,c,w\n2,3,1\n")
+    (tmp_path / "bad.csv").write_text("q,n,l,b,y,c,w\n2,3,1,18,49,8,(8)\n")
+    try:
+        got = main(argv.replace("<tmp>", str(tmp_path)).split())
+    except SystemExit as exc:  # argparse refuses before any verb runs
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (code, err.replace("<tmp>", str(tmp_path)))
+    assert captured.out == "" or case == "verify-failing-row"
+
+
+def test_bugs_leave_main_as_themselves(monkeypatch):
+    # FamilyError is a ValueError, but it means a generator broke its own
+    # invariant, as InvariantError means a solver did: neither is exit 2
+    def broken(*args, **kwargs):
+        raise FamilyError("orbit left its class")
+
+    monkeypatch.setattr(cli, "family", lambda t: broken)
+    with pytest.raises(FamilyError, match="orbit left its class"):
+        main(["generate", "--triple", "2,3,1", "--count", "1"])
+
+    def wrong(*args, **kwargs):
+        raise InvariantError("no 2-th power at base 18")
+
+    monkeypatch.setattr(cli, "search_range", wrong)
+    with pytest.raises(InvariantError, match="no 2-th power"):
+        main("search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 30".split())

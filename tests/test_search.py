@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -73,6 +74,18 @@ def test_check_solution_invariant_names():
     assert check_solution(rec(2, 3, 2, 68, 247, 13)) == "word-shape"
     # q = 1 is no triple; that is named before the power equation, which fails too
     assert check_solution(rec(1, 3, 1, 18, 49, 7)) == "triple"
+    assert check_solution(SolutionRecord(2, 3, 1, 1, 49, 7, canonical_word(18, (7,)))) == "base"
+    # no validated Word reaches the last two names, so these words are
+    # altered after __post_init__: a leading zero leaves c below b^(l-1) ...
+    zero_led = canonical_word(18, (1, 7))
+    object.__setattr__(zero_led, "digits", (0, 7))
+    assert check_solution(SolutionRecord(2, 3, 2, 18, 49, 7, zero_led)) == "c-range"
+    # ... and a digit >= b keeps c's value but not y^q's digit string
+    (real,) = solutions_for_base(Triple(4, 2, 3), 19)
+    assert real.w.digits == (9, 13, 4)
+    carried = canonical_word(19, (9, 13, 4))
+    object.__setattr__(carried, "digits", (9, 12, 4 + 19))
+    assert check_solution(dataclasses.replace(real, w=carried)) == "digit-string"
 
 
 def test_solutions_for_base_known_rows():
@@ -385,6 +398,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_text('{"range":[2,50]}\n')  # bare ints violate the schema
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+    triple = '{"triple": ["2", "3", "1"]}\n'
+    for text, error in [
+        ("[]\n", ":1: each line must be a one-key object"),
+        ('{"a": "1", "b": "2"}\n', ":1: each line must be a one-key object"),
+        (triple + '{"triple": ["3", "2", "1"]}\n', ":2: conflicting triple lines"),
+        (triple + '{"range": ["9", "3"]}\n', ":2: empty range [9,3]"),
+        (triple + '{"bogus": "1"}\n', ":2: unknown record kind 'bogus'"),
+        ('{"range": ["2", "5"]}\n', ": missing triple line"),
+        (
+            '{"triple": ["3", "2", "1"]}\n' + json.dumps({"solution": _CELLS_18}) + "\n",
+            ": solution for foreign triple Triple(q=2, n=3, l=1)",
+        ),
+        (
+            triple + json.dumps({"solution": {**_CELLS_18, "y": 49}}) + "\n",
+            ":2: expected decimal strings, got {",
+        ),
+    ]:
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path) + error)}"):
+            load_checkpoint(str(path))
 
 
 _CELLS_18 = {"q": "2", "n": "3", "l": "1", "b": "18", "y": "49", "c": "7", "w": ["7"]}
