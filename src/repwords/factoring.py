@@ -407,9 +407,9 @@ def _residue_roots(d: int, limit: int) -> list[tuple[int, tuple[int, ...]]]:
     return table[:k]
 
 
-def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[list[tuple[int, tuple, int]]]:
-    """For each base b in lo..hi, (d, prime powers, cofactor) of each
-    piece Phi_d(b) of the quotient.
+def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[tuple[tuple[tuple, int], ...]]:
+    """For each base b in lo..hi, the cached (prime powers, cofactor) entry
+    of each piece Phi_d(b) of the quotient, d in _piece_orders(n, l).
 
     Each (d, b) is looked up once in the piece cache.  Only the missing
     values are evaluated and sieved: for each prime p <= min(B,
@@ -423,14 +423,14 @@ def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[list[tuple[int, tuple
     if n < 1 or l < 1:
         raise ValueError("n and l must be >= 1")
     bases = range(lo, hi + 1)
-    rows: list[list[tuple[int, tuple, int]]] = [[] for _ in bases]
+    columns = []
     for d in _piece_orders(n, l):
         entries = [_piece_cache.get((d, b)) for b in bases]
         if None in entries:
             _sieve(d, lo, entries)
-        for row, entry in zip(rows, entries):
-            row.append((d, *entry))
-    return rows
+        columns.append(entries)
+    # with n = 1 there is no piece: each base's row is empty
+    return list(zip(*columns)) if columns else [()] * len(bases)
 
 
 def _sieve(d: int, lo: int, entries: list) -> None:
@@ -470,26 +470,26 @@ def _sieve(d: int, lo: int, entries: list) -> None:
             entries[i] = _piece_cache[(d, lo + i)] = (tuple(powers[i]), v)
 
 
-def _pieces(b: int, n: int, l: int) -> list[tuple[int, tuple, int]]:
-    """(d, prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
+def _pieces(b: int, n: int, l: int) -> tuple[tuple[tuple, int], ...]:
+    """(prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
     return sieve_pieces(b, b, n, l)[0]
 
 
 def factor_quotient(
-    b: int, n: int, l: int, *, budget_ms: int | None = None, pieces: list | None = None
+    b: int, n: int, l: int, *, budget_ms: int | None = None, pieces: tuple | None = None
 ) -> Factorization:
     """Factor (b**(n*l) - 1) // (b**l - 1) piecewise via cyclotomic values.
 
     Pieces are memoized per (d, b), so range scans that share pieces
     across triples do not refactor them; pieces, when given, are base
-    b's row of sieve_pieces.  budget_ms bounds the whole call; sieving
-    is not counted against it.
+    b's row of sieve_pieces, paired here with _piece_orders(n, l).
+    budget_ms bounds the whole call; sieving is not counted against it.
     """
     if pieces is None:
         pieces = _pieces(b, n, l)
     deadline = _Deadline(budget_ms)
     total: dict[int, int] = {}
-    for d, powers, cofactor in pieces:
+    for d, (powers, cofactor) in zip(_piece_orders(n, l), pieces):
         if cofactor > 1:
             out = dict(powers)
             _finish(cofactor, out, deadline)
@@ -549,7 +549,7 @@ def _least_share(m: int, q: int) -> int:
 
 
 def defect_reaches(
-    b: int, n: int, l: int, q: int, limit: int, *, pieces: list | None = None
+    b: int, n: int, l: int, q: int, limit: int, *, pieces: tuple | None = None
 ) -> bool:
     """True when the least d making d * quotient a q-th power is >= limit.
 
@@ -567,23 +567,32 @@ def defect_reaches(
     iroot(m, e)**r; several have at least the least corner over i,
     B**(sum_{j!=i} r_j) * iroot((m // B**(sum_{j!=i} e_j))**r_i, e_i),
     where every prime but p_i sits at B.  Cofactors of two pieces share
-    no prime unless it divides n*l, so this needs n*l < B.
+    no prime unless it divides n*l, so this needs n*l < B: then each
+    other prime's part is multiplied in as its piece comes, only the
+    primes of n*l are summed over the pieces, and the exact part, which
+    only grows, decides the base as soon as it reaches limit.
     """
-    if n * l >= _TRIAL_LIMIT:
+    nl = n * l
+    if nl >= _TRIAL_LIMIT:
         return False
-    exps: dict[int, int] = {}
-    large = []
     if pieces is None:
         pieces = _pieces(b, n, l)
-    for _, powers, cofactor in pieces:
+    exact = 1
+    shared: dict[int, int] = {}
+    large = []
+    for powers, cofactor in pieces:
         if cofactor >= _TRIAL_LIMIT * _TRIAL_LIMIT:
             large.append(cofactor)
         elif cofactor > 1:
             powers += ((cofactor, 1),)
         for p, e in powers:
-            exps[p] = exps.get(p, 0) + e
-    exact = 1
-    for p, e in exps.items():
+            if nl % p:
+                exact *= p ** (-e % q)
+            else:
+                shared[p] = shared.get(p, 0) + e
+        if exact >= limit:
+            return True
+    for p, e in shared.items():
         exact *= p ** (-e % q)
     bound = exact
     for m in large:

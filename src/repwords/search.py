@@ -6,10 +6,11 @@ For a triple (q, n, l) and a base b, every solution of
 
 arises as c = k**q * d where d is the defect of the factored quotient
 (the least multiplier making it a perfect q-th power) and k runs over a
-short integer interval.  Most bases are settled by trial division
-alone, once a lower bound on d reaches b**l; the rest take one
-factorization plus a handful of root extractions.  A brute-force
-oracle enumerating every c directly backs the fast path in tests.
+short integer interval.  Most bases are settled by the sieve and the
+defect bound alone: the quotient's pieces, sieved for a chunk of bases
+at once, give a lower bound on d that reaches b**l.  The rest take one
+factorization plus a handful of root extractions.  A brute-force oracle
+enumerating every c directly backs the fast path in tests.
 
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
@@ -139,7 +140,7 @@ def _checked(rec: SolutionRecord, source: str) -> SolutionRecord:
 
 
 def solutions_for_base(
-    t: Triple, b: int, *, factor_budget_ms: int | None = None, pieces: list | None = None
+    t: Triple, b: int, *, factor_budget_ms: int | None = None, pieces: tuple | None = None
 ) -> list[SolutionRecord]:
     """All solutions at base b, ascending in y.
 
@@ -147,19 +148,20 @@ def solutions_for_base(
     so scanning integer k with k**q * d inside the c-range finds every
     solution once, and there is none once d >= b**l (defect_reaches).
     Interval endpoints come from exact root extraction with a direct
-    power check on both candidates.  pieces is base b's row of
-    factoring.sieve_pieces: a range scan sieves its whole chunk, a lone
-    call the window [b, b].
+    power check on both candidates.  A range scan sieves and bounds its
+    whole chunk and passes each base the bound leaves open here with its
+    row of factoring.sieve_pieces as pieces; a lone call does the same on
+    the window [b, b].
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    # up front: a base the defect bound decides never reaches factoring
-    check_budget(factor_budget_ms)
-    if pieces is None:
-        pieces = sieve_pieces(b, b, t.n, t.l)[0]
     c_lo, c_hi = b ** (t.l - 1), b**t.l
-    if defect_reaches(b, t.n, t.l, t.q, c_hi, pieces=pieces):
-        return []
+    if pieces is None:
+        # up front: a base the bound decides never reaches factoring's check
+        check_budget(factor_budget_ms)
+        [pieces] = sieve_pieces(b, b, t.n, t.l)
+        if defect_reaches(b, t.n, t.l, t.q, c_hi, pieces=pieces):
+            return []
     f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms, pieces=pieces)
     d = compute_defect(f, t.q)
     # the quotient itself, not f's product: a wrong factorization must fail here
@@ -382,7 +384,10 @@ def _scan_chunk(
     sols: list[SolutionRecord] = []
     unresolved: list[int] = []
     lo, hi = chunk
-    for b, pieces in zip(range(lo, hi + 1), sieve_pieces(lo, hi, t.n, t.l)):
+    q, n, l = t.q, t.n, t.l
+    for b, pieces in zip(range(lo, hi + 1), sieve_pieces(lo, hi, n, l)):
+        if defect_reaches(b, n, l, q, b**l, pieces=pieces):
+            continue
         try:
             sols.extend(
                 solutions_for_base(t, b, factor_budget_ms=factor_budget_ms, pieces=pieces)

@@ -205,13 +205,13 @@ def test_sieved_pieces_are_exact(monkeypatch):
             orders = [d for d in divisors(n * l) if l % d]
             assert len(rows) == hi - lo + 1
             for b, pieces in zip(range(lo, hi + 1), rows):
-                assert [d for d, _, _ in pieces] == orders
-                for d, powers, cofactor in pieces:
+                assert len(pieces) == len(orders)
+                for d, (powers, cofactor) in zip(orders, pieces):
                     if (d, b) in seen:
                         continue
                     seen.add((d, b))
                     _assert_exact_piece(d, b, powers, cofactor, small)
-                if (b - lo) % 11 == 0 and all(m < B * B for _, _, m in pieces):
+                if (b - lo) % 11 == 0 and all(m < B * B for _, m in pieces):
                     quotient = (b ** (n * l) - 1) // (b**l - 1)
                     assert factor_quotient(b, n, l) == factor(quotient)
     assert len(seen) == 23 * sum(hi - lo + 1 for lo, hi in SIEVE_WINDOWS)
@@ -228,7 +228,7 @@ def test_narrow_windows_are_exact(monkeypatch):
                 monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
                 rows = factoring.sieve_pieces(lo, lo + span - 1, n, 1)
                 for b, pieces in zip(range(lo, lo + span), rows):
-                    for d, powers, cofactor in pieces:
+                    for d, (powers, cofactor) in zip(divisors(n)[1:], pieces):
                         _assert_exact_piece(d, b, powers, cofactor, small)
 
 
@@ -241,7 +241,8 @@ def test_sieve_roots_for_primes_dividing_the_order(monkeypatch):
     for lo, hi in ((2, 200), (19_990, 20_010)):
         # (b**6 - 1) / (b**3 - 1) = Phi_2(b) * Phi_6(b)
         for b, pieces in zip(range(lo, hi + 1), factoring.sieve_pieces(lo, hi, 2, 3)):
-            [(d, powers, cofactor)] = [piece for piece in pieces if piece[0] == 6]
+            # the pieces are Phi_2(b) and Phi_6(b), in the order of the divisors
+            _, (powers, cofactor) = pieces
             got = dict(powers)
             assert (3 in got) == (b % 3 == 2) and 2 not in got
             assert got.get(3, 0) <= 1 and cofactor % 2 == 1
@@ -250,7 +251,7 @@ def test_sieve_roots_for_primes_dividing_the_order(monkeypatch):
         for p, roots in factoring._residue_roots(d, 300):
             assert roots == tuple(b for b in range(p) if cyclotomic(d)(b) % p == 0)
     # Phi_2(b) = b + 1: the root of 2 is 1, and 2 divides out fully
-    [[(_, powers, _)]] = factoring.sieve_pieces(31, 31, 2, 1)
+    [[(powers, _)]] = factoring.sieve_pieces(31, 31, 2, 1)
     assert powers == ((2, 5),)
 
 
@@ -308,10 +309,13 @@ P, R, S, T = 10_007, 10_009, 10_037, 10_039
         # a huge square times a prime at B, gives B; only with that does
         # the p*r beside it lift the bound past the cheap (B + 1)**2
         ((P * R * S * T, P * R), 2, 10_000 * 10_000 * (P * R // 10_000)),
+        # the prime 2 of n*l = 2 left as the cofactor of two pieces: merged,
+        # 2**2 has the part 2 for q = 3, where one part per piece gives 16
+        ((2, 2), 3, 2),
     ],
 )
 def test_defect_bound_of_handmade_cofactors(cofactors, q, bound):
-    row = [(d, (), m) for d, m in enumerate(cofactors, 1)]
+    row = tuple(((), m) for m in cofactors)
 
     def reaches(limit):
         return factoring.defect_reaches(2, 2, 1, q, limit, pieces=row)

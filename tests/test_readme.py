@@ -105,3 +105,20 @@ def test_sweep_factoring_count(monkeypatch):
     assert per_triple[4, 2, 4] == 0 and len(calls) == 55
     bases = len(SWEEP_TRIPLES) * (hi - lo + 1)
     assert f"{len(calls)} of {bases:,} bases reach full factorization" in " ".join(README.split())
+
+
+def test_large_base_factoring_count(monkeypatch):
+    # the README's count of (4,2,4) bases in 19,000..19,300 that still reach
+    # full factorization, cold in one process
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    calls = []
+    factor_quotient = search.factor_quotient
+    monkeypatch.setattr(
+        search, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
+    )
+    lo, hi = 19_000, 19_300
+    assert search_range(Triple(4, 2, 4), lo, hi).unresolved == ()
+    assert len(calls) == 51
+    bases = hi - lo + 1
+    text = " ".join(README.split())
+    assert f"{len(calls)} of the {bases} bases of (4,2,4) in b 19,000..19,300" in text

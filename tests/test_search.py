@@ -143,7 +143,7 @@ def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
     decided = Counter()
     for b in range(100, 701):
         exps, large = Counter(), []
-        for _, powers, m in factoring._pieces(b, t.n, t.l):
+        for powers, m in factoring._pieces(b, t.n, t.l):
             exps.update(dict(powers))
             if m >= B * B:
                 large.append(m)
@@ -155,6 +155,24 @@ def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
             decided[rules.pop() if len(rules) == 1 else "both"] += 1
         assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
     assert decided[rule] > 0 and set(decided) == {rule}
+
+
+def test_primes_of_nl_shared_by_two_pieces(monkeypatch):
+    # (b**6 - 1) / (b**3 - 1) = Phi_2(b) * Phi_6(b) is 3 * 3 at b = 2: the
+    # pieces share the prime 3 of n*l = 6, so the defect is 1, not 9, and
+    # c = 4 gives y = 6.  Alone, [2, 2] sieves no prime (isqrt(3) = 1) and
+    # both pieces are the bare cofactor 3; in a range scan from 2 the sieve
+    # finds 3 in both
+    t = Triple(2, 2, 3)
+    want = brute_solutions_for_base(t, 2)
+    assert [(r.y, r.c) for r in want] == [(6, 4)]
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    assert factoring._pieces(2, t.n, t.l) == (((), 3), ((), 3))
+    assert solutions_for_base(t, 2) == want
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    assert [r for r in search_range(t, 2, 40).solutions if r.b == 2] == want
+    assert factoring._pieces(2, t.n, t.l) == ((((3, 1),), 1),) * 2
+    assert solutions_for_base(t, 2) == want
 
 
 # bases that only the exponent-shape step of defect_reaches rejects
@@ -349,17 +367,18 @@ def test_caller_error_shuts_the_helpers_down(monkeypatch):
     # the pool starts after the caller's second chunk, the first it times;
     # its third, [40, 58], raises while the helper is still scanning
     # [116, 150] from the back; the pool is shut down before the error
-    # leaves search_range
-    real = search.solutions_for_base
+    # leaves search_range.  The plant is in the defect bound, which a chunk
+    # runs on every base
+    real = search.defect_reaches
 
-    def solve(t, b, **kw):
+    def bound(b, *args, **kw):
         if b == 45:
             raise search.InvariantError("planted")
         if b >= 116:
             time.sleep(0.002)
-        return real(t, b, **kw)
+        return real(b, *args, **kw)
 
-    monkeypatch.setattr(search, "solutions_for_base", solve)
+    monkeypatch.setattr(search, "defect_reaches", bound)
     monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     started = _pools_started(monkeypatch)
     with pytest.raises(search.InvariantError, match="planted"):
