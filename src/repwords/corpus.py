@@ -84,10 +84,6 @@ class CorpusReport:
     def ok(self) -> bool:
         return all(r.failure is None for r in self.results)
 
-    @property
-    def failures(self) -> tuple[RowResult, ...]:
-        return tuple(r for r in self.results if r.failure is not None)
-
 
 _RECORD_HEADER = ("q", "n", "l", "b", "y", "c", "w")
 _HEADERS = {

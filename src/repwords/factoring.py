@@ -23,6 +23,8 @@ bounds a base's defect from the sieved pieces alone: a cofactor left
 after sieving has all its primes above the trial limit, so its share
 is bounded over the exponent shapes it can have, and most bases with
 no solution are rejected with no primality test and no rho.
+open_defects is the one place a base is decided: it sieves a range,
+bounds each base, and factors only the bases the bound leaves open.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import time
 from bisect import bisect_right
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -470,11 +473,6 @@ def _sieve(d: int, lo: int, entries: list) -> None:
             entries[i] = _piece_cache[(d, lo + i)] = (tuple(powers[i]), v)
 
 
-def _pieces(b: int, n: int, l: int) -> tuple[tuple[tuple, int], ...]:
-    """(prime powers, cofactor) of each piece Phi_d(b) of the quotient."""
-    return sieve_pieces(b, b, n, l)[0]
-
-
 def factor_quotient(
     b: int, n: int, l: int, *, budget_ms: int | None = None, pieces: tuple | None = None
 ) -> Factorization:
@@ -486,7 +484,7 @@ def factor_quotient(
     budget_ms bounds the whole call; sieving is not counted against it.
     """
     if pieces is None:
-        pieces = _pieces(b, n, l)
+        [pieces] = sieve_pieces(b, b, n, l)
     deadline = _Deadline(budget_ms)
     total: dict[int, int] = {}
     for d, (powers, cofactor) in zip(_piece_orders(n, l), pieces):
@@ -548,13 +546,11 @@ def _least_share(m: int, q: int) -> int:
     )
 
 
-def defect_reaches(
-    b: int, n: int, l: int, q: int, limit: int, *, pieces: tuple | None = None
-) -> bool:
+def defect_reaches(n: int, l: int, q: int, limit: int, pieces: tuple) -> bool:
     """True when the least d making d * quotient a q-th power is >= limit.
 
-    Judged from the sieved pieces (base b's row of sieve_pieces, looked
-    up when not given), with no primality test or rho;
+    Judged from the sieved pieces (one base's row of sieve_pieces), with
+    no primality test or rho;
     False only means the bound stays below limit.  Found primes and
     cofactors below B**2 (B the trial limit; such a cofactor is prime)
     count exactly.  A larger cofactor m is prod p_i**e_i with every p_i
@@ -575,8 +571,6 @@ def defect_reaches(
     nl = n * l
     if nl >= _TRIAL_LIMIT:
         return False
-    if pieces is None:
-        pieces = _pieces(b, n, l)
     exact = 1
     shared: dict[int, int] = {}
     large = []
@@ -604,3 +598,35 @@ def defect_reaches(
     for m in large:
         exact *= _least_share(m, q)
     return exact >= limit
+
+
+def compute_defect(f: Factorization, q: int) -> int:
+    """Least d >= 1 such that d times the product of f's prime powers is
+    a perfect q-th power."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    d = 1
+    for p, e in f.factors:
+        d *= p ** (-e % q)
+    return d
+
+
+def open_defects(
+    lo: int, hi: int, n: int, l: int, q: int, *, budget_ms: int | None = None
+) -> Iterator[tuple[int, int | None]]:
+    """(b, d) for each base b in lo..hi, ascending, whose defect bound
+    stays below b**l: d is the defect of the factored quotient, or None
+    when factoring it exceeded budget_ms.
+
+    A base left out has no solution: its defect reaches b**l, the top of
+    the c-range (defect_reaches).  The range is sieved at once, and only
+    the bases the bound leaves open are factored.
+    """
+    for b, pieces in zip(range(lo, hi + 1), sieve_pieces(lo, hi, n, l)):
+        if defect_reaches(n, l, q, b**l, pieces):
+            continue
+        try:
+            d = compute_defect(factor_quotient(b, n, l, budget_ms=budget_ms, pieces=pieces), q)
+        except FactorBudgetError:
+            d = None
+        yield b, d

@@ -9,8 +9,9 @@ arises as c = k**q * d where d is the defect of the factored quotient
 short integer interval.  Most bases are settled by the sieve and the
 defect bound alone: the quotient's pieces, sieved for a chunk of bases
 at once, give a lower bound on d that reaches b**l.  The rest take one
-factorization plus a handful of root extractions.  A brute-force oracle
-enumerating every c directly backs the fast path in tests.
+factorization plus a handful of root extractions; factoring.open_defects
+makes that decision and hands back d.  A brute-force oracle enumerating
+every c directly backs the fast path in tests.
 
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
@@ -35,14 +36,7 @@ from functools import partial
 from itertools import count
 
 from .arith import ceil_root, iroot
-from .factoring import (
-    Factorization,
-    FactorBudgetError,
-    check_budget,
-    defect_reaches,
-    factor_quotient,
-    sieve_pieces,
-)
+from .factoring import FactorBudgetError, check_budget, open_defects
 from .triples import Triple
 from .words import (
     System,
@@ -117,17 +111,6 @@ def verify_solution(rec: SolutionRecord) -> bool:
     return check_solution(rec) is None
 
 
-def compute_defect(f: Factorization, q: int) -> int:
-    """Least d >= 1 such that d times the product of f's prime powers is
-    a perfect q-th power."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    d = 1
-    for p, e in f.factors:
-        d *= p ** (-e % q)
-    return d
-
-
 def _record(t: Triple, b: int, y: int, c: int) -> SolutionRecord:
     return SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
 
@@ -140,40 +123,19 @@ def _checked(rec: SolutionRecord, source: str) -> SolutionRecord:
 
 
 def solutions_for_base(
-    t: Triple, b: int, *, factor_budget_ms: int | None = None, pieces: tuple | None = None
+    t: Triple, b: int, *, factor_budget_ms: int | None = None
 ) -> list[SolutionRecord]:
-    """All solutions at base b, ascending in y.
+    """All solutions at base b, ascending in y: the range scan of [b, b].
 
-    Complete and sound: c * r is a q-th power exactly when c = k**q * d,
-    so scanning integer k with k**q * d inside the c-range finds every
-    solution once, and there is none once d >= b**l (defect_reaches).
-    Interval endpoints come from exact root extraction with a direct
-    power check on both candidates.  A range scan sieves and bounds its
-    whole chunk and passes each base the bound leaves open here with its
-    row of factoring.sieve_pieces as pieces; a lone call does the same on
-    the window [b, b].
+    Raises FactorBudgetError when factoring the quotient exceeds
+    factor_budget_ms, where a range scan records b as unresolved.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    c_lo, c_hi = b ** (t.l - 1), b**t.l
-    if pieces is None:
-        # up front: a base the bound decides never reaches factoring's check
-        check_budget(factor_budget_ms)
-        [pieces] = sieve_pieces(b, b, t.n, t.l)
-        if defect_reaches(b, t.n, t.l, t.q, c_hi, pieces=pieces):
-            return []
-    f = factor_quotient(b, t.n, t.l, budget_ms=factor_budget_ms, pieces=pieces)
-    d = compute_defect(f, t.q)
-    # the quotient itself, not f's product: a wrong factorization must fail here
-    s, exact = iroot(d * ((b ** (t.n * t.l) - 1) // (b**t.l - 1)), t.q)
-    if not exact:
-        raise InvariantError(f"defect times quotient is no {t.q}-th power at base {b}")
-    k = ceil_root(-(-c_lo // d), t.q)
-    out = []
-    while k**t.q * d < c_hi:
-        out.append(_checked(_record(t, b, k * s, k**t.q * d), "defect scan"))
-        k += 1
-    return out
+    # up front: a base the bound decides never reaches factoring's check
+    check_budget(factor_budget_ms)
+    sols, unresolved = _scan_chunk(t, factor_budget_ms, (b, b))
+    if unresolved:
+        raise FactorBudgetError(f"factoring budget exceeded at base {b}")
+    return sols
 
 
 def brute_solutions_for_base(t: Triple, b: int) -> list[SolutionRecord]:
@@ -381,19 +343,31 @@ def _ends_with_newline(path: str) -> bool:
 def _scan_chunk(
     t: Triple, factor_budget_ms: int | None, chunk: tuple[int, int]
 ) -> tuple[list[SolutionRecord], list[int]]:
+    """Solutions and unresolved bases of the bases lo..hi of chunk.
+
+    Complete and sound: c * r is a q-th power exactly when c = k**q * d,
+    so scanning integer k with k**q * d inside the c-range finds every
+    solution once, and open_defects leaves out only bases with
+    d >= b**l, which have none.  Interval endpoints come from exact root
+    extraction with a direct power check on both candidates.
+    """
     sols: list[SolutionRecord] = []
     unresolved: list[int] = []
-    lo, hi = chunk
     q, n, l = t.q, t.n, t.l
-    for b, pieces in zip(range(lo, hi + 1), sieve_pieces(lo, hi, n, l)):
-        if defect_reaches(b, n, l, q, b**l, pieces=pieces):
-            continue
-        try:
-            sols.extend(
-                solutions_for_base(t, b, factor_budget_ms=factor_budget_ms, pieces=pieces)
-            )
-        except FactorBudgetError:
+    for b, d in open_defects(*chunk, n, l, q, budget_ms=factor_budget_ms):
+        if d is None:
             unresolved.append(b)
+            continue
+        # the quotient itself, not the factorization's product: a wrong
+        # factorization must fail here
+        s, exact = iroot(d * ((b ** (n * l) - 1) // (b**l - 1)), q)
+        if not exact:
+            raise InvariantError(f"defect times quotient is no {q}-th power at base {b}")
+        c_lo, c_hi = b ** (l - 1), b**l
+        k = ceil_root(-(-c_lo // d), q)
+        while k**q * d < c_hi:
+            sols.append(_checked(_record(t, b, k * s, k**q * d), "defect scan"))
+            k += 1
     return sols, unresolved
 
 

@@ -285,9 +285,9 @@ def test_defect_bound_never_exceeds_the_defect(monkeypatch):
         for (q, n, l), triple_rows in rows.items():
             for b, row in zip(range(lo, hi + 1), triple_rows):
                 d = math.prod(p ** (-e % q) for p, e in factor_quotient(b, n, l).factors)
-                assert not factoring.defect_reaches(b, n, l, q, d + 1, pieces=row), (q, n, l, b)
+                assert not factoring.defect_reaches(n, l, q, d + 1, row), (q, n, l, b)
                 before = len(shaped)
-                if factoring.defect_reaches(b, n, l, q, b**l, pieces=row) and len(shaped) > before:
+                if factoring.defect_reaches(n, l, q, b**l, row) and len(shaped) > before:
                     decided.add((q, n, l))
     assert {(4, 2, 4), (3, 5, 1), (3, 2, 4)} <= decided
 
@@ -318,7 +318,7 @@ def test_defect_bound_of_handmade_cofactors(cofactors, q, bound):
     row = tuple(((), m) for m in cofactors)
 
     def reaches(limit):
-        return factoring.defect_reaches(2, 2, 1, q, limit, pieces=row)
+        return factoring.defect_reaches(2, 1, q, limit, row)
 
     assert reaches(bound) and not reaches(bound + 1)
 

@@ -1,6 +1,6 @@
 """Package layout: no private imports across modules, imports only at
-module level in an acyclic module graph, no raised int/str digit limit, and
-an exact __all__."""
+module level in an acyclic module graph, no raised int/str digit limit, no
+assert statement, and an exact __all__."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -77,6 +77,18 @@ def test_no_module_raises_the_int_str_digit_limit():
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             if name == "set_int_max_str_digits":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_assert_statement():
+    # python -O strips assert statements, and every check the library makes
+    # on its own results must still run there
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repwords import factoring, search
+from repwords import factoring
 from repwords.cli import main
 from repwords.search import load_checkpoint, search_range, write_checkpoint
 from repwords.triples import Triple
@@ -92,9 +92,9 @@ def test_sweep_factoring_count(monkeypatch):
     # of bases that reach full factorization, none of them of (4,2,4)
     monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
     calls = []
-    factor_quotient = search.factor_quotient
+    factor_quotient = factoring.factor_quotient
     monkeypatch.setattr(
-        search, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
+        factoring, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
     )
     lo, hi = 14, 1_512
     per_triple = {}
@@ -112,9 +112,9 @@ def test_large_base_factoring_count(monkeypatch):
     # full factorization, cold in one process
     monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
     calls = []
-    factor_quotient = search.factor_quotient
+    factor_quotient = factoring.factor_quotient
     monkeypatch.setattr(
-        search, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
+        factoring, "factor_quotient", lambda b, *a, **k: calls.append(b) or factor_quotient(b, *a, **k)
     )
     lo, hi = 19_000, 19_300
     assert search_range(Triple(4, 2, 4), lo, hi).unresolved == ()

@@ -19,7 +19,13 @@ import pytest
 
 import repwords
 from repwords import factoring, search
-from repwords.factoring import Factorization, factor, factor_quotient
+from repwords.factoring import (
+    FactorBudgetError,
+    Factorization,
+    compute_defect,
+    factor,
+    factor_quotient,
+)
 from repwords.families import gen_232
 from repwords.search import (
     Checkpoint,
@@ -27,7 +33,6 @@ from repwords.search import (
     SolutionRecord,
     brute_solutions_for_base,
     check_solution,
-    compute_defect,
     load_checkpoint,
     search_fib_powers,
     search_fib_squares,
@@ -104,13 +109,13 @@ def test_solutions_for_base_known_rows():
 def test_wrong_factorization_raises(monkeypatch):
     # a factorization whose product is not the quotient must stop the
     # search, not lose y = 49 at base 18 to a defect grown by a spurious prime
-    real = search.factor_quotient
+    real = factoring.factor_quotient
 
     def spurious(*args, **kwargs):
         f = real(*args, **kwargs)
         return Factorization(tuple(sorted(f.factors + ((10_007, 1),))))
 
-    monkeypatch.setattr(search, "factor_quotient", spurious)
+    monkeypatch.setattr(factoring, "factor_quotient", spurious)
     with pytest.raises(search.InvariantError, match="no 2-th power at base 18$"):
         solutions_for_base(Triple(2, 3, 1), 18)
 
@@ -143,14 +148,15 @@ def test_defect_bound_rules_match_brute(q, rule, monkeypatch):
     decided = Counter()
     for b in range(100, 701):
         exps, large = Counter(), []
-        for powers, m in factoring._pieces(b, t.n, t.l):
+        [row] = factoring.sieve_pieces(b, b, t.n, t.l)
+        for powers, m in row:
             exps.update(dict(powers))
             if m >= B * B:
                 large.append(m)
             elif m > 1:
                 exps[m] += 1
         exact = prod(p ** (-e % q) for p, e in exps.items())
-        if large and exact < b and factoring.defect_reaches(b, t.n, t.l, q, b):
+        if large and exact < b and factoring.defect_reaches(t.n, t.l, q, b, row):
             rules = {"E < q" if m < B**q else "not a q-th power" for m in large}
             decided[rules.pop() if len(rules) == 1 else "both"] += 1
         assert solutions_for_base(t, b) == brute_solutions_for_base(t, b)
@@ -167,11 +173,11 @@ def test_primes_of_nl_shared_by_two_pieces(monkeypatch):
     want = brute_solutions_for_base(t, 2)
     assert [(r.y, r.c) for r in want] == [(6, 4)]
     monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
-    assert factoring._pieces(2, t.n, t.l) == (((), 3), ((), 3))
+    assert factoring.sieve_pieces(2, 2, t.n, t.l)[0] == (((), 3), ((), 3))
     assert solutions_for_base(t, 2) == want
     monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
     assert [r for r in search_range(t, 2, 40).solutions if r.b == 2] == want
-    assert factoring._pieces(2, t.n, t.l) == ((((3, 1),), 1),) * 2
+    assert factoring.sieve_pieces(2, 2, t.n, t.l)[0] == ((((3, 1),), 1),) * 2
     assert solutions_for_base(t, 2) == want
 
 
@@ -196,7 +202,7 @@ def test_shape_decided_bases_match_brute(triple, bases, monkeypatch):
     def no_factoring(b, *args, **kwargs):
         raise AssertionError(f"base {b} reached factor_quotient")
 
-    monkeypatch.setattr(search, "factor_quotient", no_factoring)
+    monkeypatch.setattr(factoring, "factor_quotient", no_factoring)
     t = Triple(*triple)
     for b in bases:
         before = len(shaped)
@@ -367,18 +373,18 @@ def test_caller_error_shuts_the_helpers_down(monkeypatch):
     # the pool starts after the caller's second chunk, the first it times;
     # its third, [40, 58], raises while the helper is still scanning
     # [116, 150] from the back; the pool is shut down before the error
-    # leaves search_range.  The plant is in the defect bound, which a chunk
-    # runs on every base
-    real = search.defect_reaches
+    # leaves search_range.  The plant is in open_defects, which every
+    # chunk runs
+    real = search.open_defects
 
-    def bound(b, *args, **kw):
-        if b == 45:
+    def defects(lo, hi, *args, **kw):
+        if lo <= 45 <= hi:
             raise search.InvariantError("planted")
-        if b >= 116:
-            time.sleep(0.002)
-        return real(b, *args, **kw)
+        if lo >= 116:
+            time.sleep(0.04)
+        return real(lo, hi, *args, **kw)
 
-    monkeypatch.setattr(search, "defect_reaches", bound)
+    monkeypatch.setattr(search, "open_defects", defects)
     monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     started = _pools_started(monkeypatch)
     with pytest.raises(search.InvariantError, match="planted"):
@@ -696,6 +702,9 @@ def test_unresolved_base_on_tiny_budget():
     assert cp.unresolved == (5,)
     assert cp.solutions == ()
     assert cp.completed == ((5, 5),)
+    # alone, the same base raises instead
+    with pytest.raises(FactorBudgetError):
+        solutions_for_base(Triple(2, 2, 59), 5, factor_budget_ms=1)
 
 
 def test_unresolved_base_in_checkpoint(tmp_path):
