@@ -14,8 +14,10 @@ k*n + m times, so '(3:2n+2)4' is 3 written 2n+2 times, then 4.
 verify_corpus recomputes every row from scratch and reports the first
 violated invariant per row, never stopping at the first bad row; a
 pattern row is checked at every n up to pattern_n_max.
-write_rows prints rows in the same cell formats, so a `repwords generate`
-CSV of any size loads back as a corpus.
+write_rows prints rows in the same cell formats, so the CSV of `repwords
+search` or canonical `repwords generate` loads back as a corpus at any
+size; the bijective and fibonacci `generate` headers are not corpus
+layouts.
 """
 
 from __future__ import annotations
@@ -65,12 +67,10 @@ class TableCorpus:
     name: str
     kind: str  # "solutions" | "zeckendorf-squares" | "bijective-patterns"
     rows: tuple
-    source: str
 
 
 @dataclass(frozen=True)
 class RowResult:
-    index: int  # 1-based data-row number
     label: str
     failure: str | None
 
@@ -131,14 +131,9 @@ def _instantiate_pattern(b: int, runs, n: int) -> Word:
 
 
 def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
-    """One CSV (with header) or JSONL line per row of ints, strs and Words."""
+    """One CSV (with header) or JSONL line per row of ints and Words."""
     lines = (
-        [
-            format_decimal(v) if isinstance(v, int)
-            else _word_cell(v, fmt) if isinstance(v, Word)
-            else v
-            for v in row
-        ]
+        [format_decimal(v) if isinstance(v, int) else _word_cell(v, fmt) for v in row]
         for row in rows
     )
     if fmt == "jsonl":
@@ -239,17 +234,13 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
         name = base
         text = entry.read_text()
 
-    comments: list[str] = []
-    numbered: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.lstrip().startswith("#"):
-            comments.append(line.lstrip().lstrip("#").strip())
-        else:
-            numbered.append((lineno, line))
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
     if not numbered:
-        return TableCorpus(name, "solutions", (), " ".join(comments))
+        return TableCorpus(name, "solutions", ())
 
     old_limit = csv.field_size_limit(len(text) + 1)  # no cell outgrows its file
     try:
@@ -261,7 +252,7 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
     if kind is None:
         raise MalformedCorpusError(f"{name}:{header_lineno}: unrecognized header {header}")
     rows = _parse_rows(kind, parsed[1:], name)
-    return TableCorpus(name, kind, rows, " ".join(comments))
+    return TableCorpus(name, kind, rows)
 
 
 def _check_zeckendorf_row(y: int, w: Word) -> str | None:
@@ -292,7 +283,7 @@ def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusRepo
     if pattern_n_max < 0:
         raise ValueError(f"pattern_n_max must be >= 0, got {pattern_n_max}")
     results = []
-    for i, row in enumerate(corpus.rows, start=1):
+    for row in corpus.rows:
         if corpus.kind == "solutions":
             label = " ".join(f"{k}={format_decimal(getattr(row, k))}" for k in "qnlby")
             failure = check_solution(row)
@@ -303,7 +294,7 @@ def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusRepo
         else:
             label = f"b={format_decimal(row.base)} row={format_decimal(row.row)}"
             failure = _check_pattern_row(row, pattern_n_max)
-        results.append(RowResult(i, label, failure))
+        results.append(RowResult(label, failure))
     return CorpusReport(corpus.name, tuple(results))
 
 

@@ -17,7 +17,8 @@ checked digit for digit; the bundled table of bijective pattern families
 is read and checked by corpus, which owns its format.
 
 Seeds are located by bounded brute force over small ring elements with
-the required norm, parity, and congruence.  Unit-power steps are found
+the required norm, or as the first orbit member with a side condition;
+a family's congruence class is its seed's.  Unit-power steps are found
 by iterating to the first power congruent to 1, never hard-coded.
 """
 
@@ -30,7 +31,7 @@ from math import isqrt
 from typing import Callable, Iterator
 
 from .arith import QuadInt, ceil_root, unit_order
-from .factoring import primes_upto
+from .factoring import is_probable_prime
 from .search import SolutionRecord, verify_solution
 from .triples import Triple
 from .words import (
@@ -64,8 +65,8 @@ class FamilyError(ValueError):
 class NormFamily:
     """Orbit seed * growth**(step * k) inside a fixed-norm fiber.
 
-    congruence, when present, is (m, (ra, rb)): every member must be
-    congruent to (ra, rb) mod m, which requires unit**step == 1 mod m.
+    Every member stays in the seed's class mod `modulus`, which requires
+    unit**step == 1 mod modulus.
     """
 
     d: int
@@ -73,7 +74,7 @@ class NormFamily:
     seed: QuadInt
     unit: QuadInt
     step: int
-    congruence: tuple[int, tuple[int, int]] | None = None
+    modulus: int = 1
 
     def __post_init__(self) -> None:
         if self.seed.d != self.d or self.unit.d != self.d:
@@ -86,13 +87,8 @@ class NormFamily:
             raise FamilyError("unit must have norm +-1")
         if self.step < 1:
             raise FamilyError("step must be >= 1")
-        if self.congruence is not None:
-            m, (ra, rb) = self.congruence
-            one = QuadInt(1, 0, self.d)
-            if not (self.unit**self.step).congruent(one, m):
-                raise FamilyError(f"unit**{self.step} is not 1 mod {m}")
-            if (self.seed.a - ra) % m or (self.seed.b - rb) % m:
-                raise FamilyError(f"seed violates its congruence mod {m}")
+        if not (self.unit**self.step).congruent(QuadInt(1, 0, self.d), self.modulus):
+            raise FamilyError(f"unit**{self.step} is not 1 mod {self.modulus}")
 
 
 def _growth_direction(unit: QuadInt) -> QuadInt:
@@ -109,52 +105,32 @@ def _growth_direction(unit: QuadInt) -> QuadInt:
 
 
 def _norm_family_stream(f: NormFamily) -> Iterator[QuadInt]:
+    m = f.modulus
     g = _growth_direction(f.unit) ** f.step
-    if f.congruence is not None:
-        m, (ra, rb) = f.congruence
-        if not g.congruent(QuadInt(1, 0, f.d), m):
-            raise FamilyError(f"growth step is not 1 mod {m}")
-    x = f.seed
-    if x.a < 0:
-        x = -x
+    if not g.congruent(QuadInt(1, 0, f.d), m):
+        raise FamilyError(f"growth step is not 1 mod {m}")
+    x = first = -f.seed if f.seed.a < 0 else f.seed
     while True:
         if x.a <= 0 or x.b <= 0 or x.norm() != f.target_norm:
             raise FamilyError(f"orbit left the positive norm-{f.target_norm} branch at {x}")
-        if f.congruence is not None:
-            m, (ra, rb) = f.congruence
-            if (x.a - ra) % m or (x.b - rb) % m:
-                raise FamilyError(f"orbit member {x} left its class mod {m}")
+        if not x.congruent(first, m):
+            raise FamilyError(f"orbit member {x} left its class mod {m}")
         yield x
         x = x * g
 
 
-def find_seed(
-    d: int,
-    target_norm: int,
-    *,
-    a_odd: bool = False,
-    b_multiple: int = 1,
-    a_residues: frozenset[int] | None = None,
-    modulus: int = 1,
-) -> QuadInt:
-    """Smallest (by b, then a) element of Z[sqrt(d)] with the given norm
-    and side conditions.  Printed seed values are not trusted; this
+def find_seed(d: int, target_norm: int, *, b_multiple: int = 1) -> QuadInt:
+    """Smallest (by b) element a + b sqrt(d), a, b > 0, of the given norm
+    with b_multiple | b.  Printed seed values are not trusted; this
     search plus the NormFamily checks are the source of truth.
     """
-    for b in range(1, _SEED_BOUND):
-        if b % b_multiple:
-            continue
+    for b in range(b_multiple, _SEED_BOUND, b_multiple):
         t = target_norm + d * b * b
         if t < 1:
             continue
         a = isqrt(t)
-        if a * a != t or a < 1:
-            continue
-        if a_odd and a % 2 == 0:
-            continue
-        if a_residues is not None and a % modulus not in a_residues:
-            continue
-        return QuadInt(a, b, d)
+        if a * a == t:
+            return QuadInt(a, b, d)
     raise FamilyError(f"no seed with norm {target_norm} below bound {_SEED_BOUND}")
 
 
@@ -193,6 +169,8 @@ def _orbit(
 
 # odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
 _PELL = NormFamily(2, -1, FUNDAMENTAL_UNITS[2], FUNDAMENTAL_UNITS[2], 2)
+# a**2 - 3 b**2 = -3 with b even (so a odd): the (2,3,1) fiber
+_FIBER_231 = NormFamily(3, -3, find_seed(3, -3, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
 
 
 def gen_n21(q: int, count: int) -> list[SolutionRecord]:
@@ -209,8 +187,7 @@ def gen_n21(q: int, count: int) -> list[SolutionRecord]:
 
 def gen_231(count: int) -> list[SolutionRecord]:
     """(2, 3, 1): c = 3 with 3 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(3)]."""
-    fam = NormFamily(3, -3, find_seed(3, -3, a_odd=True, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
-    return _orbit((2, 3, 1), fam, lambda el: ((el.a - 1) // 2, 3 * (el.b // 2), 3), count)
+    return _orbit((2, 3, 1), _FIBER_231, lambda el: ((el.a - 1) // 2, 3 * (el.b // 2), 3), count)
 
 
 def _member_232(el: QuadInt) -> tuple[int, int, int]:
@@ -222,14 +199,17 @@ def _member_232(el: QuadInt) -> tuple[int, int, int]:
 
 
 def gen_232(count: int) -> list[SolutionRecord]:
-    """(2, 3, 2): members of the (2,3,1) fiber thinned to 49 | x**2 - x + 1.
+    """(2, 3, 2): one residue class of the (2,3,1) fiber with 49 | x**2 - x + 1.
 
-    The congruence a == 39 (mod 98) forces the divisibility; the unit
-    step is the order of the fundamental unit mod 98.
+    The seed is the fiber's first member with that divisibility, which
+    holds on the seed's whole class mod 98; the unit step is the order of
+    the fundamental unit mod 98.  The fiber's other such class, (39, 30)
+    mod 98, is not emitted.
     """
     unit = FUNDAMENTAL_UNITS[3]
-    seed = find_seed(3, -3, a_odd=True, b_multiple=2, a_residues=frozenset({39, 63}), modulus=98)
-    fam = NormFamily(3, -3, seed, unit, unit_order(unit, 98), (98, (seed.a % 98, seed.b % 98)))
+    # 4 (x**2 - x + 1) = (a - 2)**2 + 3, so this is _member_232's divisibility
+    seed = next(el for el in _norm_family_stream(_FIBER_231) if ((el.a - 2) ** 2 + 3) % 49 == 0)
+    fam = NormFamily(3, -3, seed, unit, unit_order(unit, 98), 98)
     return _orbit((2, 3, 2), fam, _member_232, count)
 
 
@@ -241,8 +221,7 @@ def gen_322(count: int) -> list[SolutionRecord]:
 def gen_331(count: int) -> list[SolutionRecord]:
     """(3, 3, 1): 343 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(7)]."""
     unit = FUNDAMENTAL_UNITS[7]
-    seed = find_seed(7, -3, a_odd=True, b_multiple=14)
-    fam = NormFamily(7, -3, seed, unit, unit_order(unit, 14), (14, (seed.a % 14, seed.b % 14)))
+    fam = NormFamily(7, -3, find_seed(7, -3, b_multiple=14), unit, unit_order(unit, 14), 14)
     return _orbit((3, 3, 1), fam, lambda el: ((el.a - 1) // 2, 7 * (el.b // 14), el.b // 14), count)
 
 
@@ -287,26 +266,21 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
     residue_mod = 2 ** (t + 1)
 
     def stream():
-        sieve_limit = 1 << 10
-        emitted_from = 5
-        while True:
-            for p in primes_upto(sieve_limit):
-                if p < max(5, emitted_from) or (p - 1) % residue_mod:
-                    continue
-                p2 = p * p
-                # (Z/p^2)* is cyclic, so for a non-residue g mod p zeta has
-                # order 2**(t+1), and the b with b**(2**t) == -1 mod p**2
-                # are exactly its odd powers
-                g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
-                zeta = pow(g, (p2 - p) >> (t + 1), p2)
-                witness = min(pow(zeta, j, p2) for j in range(1, residue_mod, 2))
-                m, rem = divmod(witness**l + 1, p2)
-                if rem:
-                    raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")
-                v = ceil_root(-(-p2 // witness), 2)
-                yield _rec(2, 2, l, witness, m * v * p, m * v * v)
-            emitted_from = sieve_limit
-            sieve_limit *= 2
+        for p in _count(5):
+            if p % residue_mod != 1 or not is_probable_prime(p):
+                continue
+            p2 = p * p
+            # (Z/p^2)* is cyclic, so for a non-residue g mod p zeta has
+            # order 2**(t+1), and the b with b**(2**t) == -1 mod p**2
+            # are exactly its odd powers
+            g = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+            zeta = pow(g, (p2 - p) >> (t + 1), p2)
+            witness = min(pow(zeta, j, p2) for j in range(1, residue_mod, 2))
+            m, rem = divmod(witness**l + 1, p2)
+            if rem:
+                raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")
+            v = ceil_root(-(-p2 // witness), 2)
+            yield _rec(2, 2, l, witness, m * v * p, m * v * v)
 
     return _emit_verified(stream(), count)
 

@@ -208,6 +208,20 @@ def test_generate_output_is_pinned(capsys):
     assert h.hexdigest() == GENERATE_DIGEST
 
 
+# the bijective and fibonacci generate requests of the tables benchmark workload
+OTHER_SYSTEMS_DIGEST = "4b67773ba9147dd8adc41f0462de17b6e94e39f6101d2e1b424afc02ffe8072c"
+
+
+def test_generate_other_systems_output_is_pinned(capsys):
+    h = hashlib.sha256()
+    for triple, count, system in (("2,2,6", "300", "bijective"), ("2,2,1", "120", "fibonacci")):
+        argv = ("generate", "--triple", triple, "--count", count, "--system", system)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), system
+        h.update(out.encode())
+    assert h.hexdigest() == OTHER_SYSTEMS_DIGEST
+
+
 def test_generate_no_family(capsys):
     code, _, err = run(capsys, *"generate --triple 2,5,1 --count 1".split())
     assert code == 2

@@ -1,6 +1,7 @@
 """Bundled golden tables: loading, verification, malformed input."""
 
 import csv
+from importlib import resources
 
 import pytest
 
@@ -39,7 +40,12 @@ def test_builtin_listing():
 def test_bundled_sizes(name, size):
     corpus = load_corpus(name)
     assert len(corpus.rows) == size
-    assert corpus.source  # every table carries a description line
+    text = resources.files("repwords.tables").joinpath(name + ".csv").read_text()
+    # every table carries a description line
+    assert any(
+        line.lstrip().startswith("#") and line.lstrip().lstrip("#").strip()
+        for line in text.splitlines()
+    )
 
 
 def test_load_by_name_with_suffix():
@@ -83,7 +89,7 @@ def test_perturbed_row_fails(tmp_path):
     assert not report.ok
     failures = [r for r in report.results if r.failure is not None]
     assert len(failures) == 1
-    assert failures[0].index == 1
+    assert failures[0] is report.results[0]
 
 
 def test_empty_corpus_trivially_passes(tmp_path):
@@ -99,6 +105,13 @@ def test_malformed_inputs(tmp_path):
         load_corpus(p)
     p.write_text("q,n,l,b,y,c,w\n2,3,1,18,49,7\n")
     with pytest.raises(MalformedCorpusError, match="7 columns"):
+        load_corpus(p)
+    p.write_text("q,n,l,b,y,c,w\n2,3,1,18,49,7,(7)\n2,3,1,18,49,7,7\n")
+    with pytest.raises(MalformedCorpusError, match=r"^broken:3: bad word cell '7'$"):
+        load_corpus(p)
+    # the six integer cells are judged first
+    p.write_text("q,n,l,b,y,c,w\n2,3,1,18,4x,7,[7]\n")
+    with pytest.raises(MalformedCorpusError, match="^broken:2: (?!bad word cell)"):
         load_corpus(p)
     p.write_text("who,knows\n1,2\n")
     with pytest.raises(MalformedCorpusError, match="header"):
@@ -209,5 +222,5 @@ def test_written_rows_load_back_at_any_size(tmp_path, capsys):
 
 
 def test_tablecorpus_is_plain_data():
-    c = TableCorpus("x", "solutions", (), "desc")
-    assert c.rows == () and c.source == "desc"
+    c = TableCorpus("x", "solutions", ())
+    assert c.rows == () and (c.name, c.kind) == ("x", "solutions")

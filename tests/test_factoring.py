@@ -323,6 +323,49 @@ def test_defect_bound_of_handmade_cofactors(cofactors, q, bound):
     assert reaches(bound) and not reaches(bound + 1)
 
 
+# fourteen primes above B, for cofactors past the shape table
+BIG = [p for p in primes_upto(10_400) if p > 10_000][:14]
+
+
+@pytest.mark.parametrize(
+    "exponents,q",
+    [
+        # p**13 is no square or cube: B + 1 against the true p or p**2
+        ({BIG[0]: 13}, 2),
+        ({BIG[0]: 13}, 3),
+        # q-th powers have true share 1, and so must the bound
+        ({BIG[0]: 14}, 2),
+        ({BIG[0]: 15}, 3),
+        ({p: 2 for p in BIG[:7]}, 2),
+        # q above E = 13: the bound m**((q - E)/E) meets p**4 exactly
+        ({BIG[0]: 13}, 17),
+        # thirteen distinct primes, one of them squared for q = 3
+        (dict.fromkeys(BIG[:13], 1), 2),
+        ({**dict.fromkeys(BIG[:13], 1), BIG[13]: 2}, 3),
+        (dict.fromkeys(BIG[:13], 1), 17),
+    ],
+)
+def test_least_share_past_the_shape_table(exponents, q):
+    # a cofactor of B**13 or more may have more primes than the shape
+    # table takes; whatever rule bounds its share must stay at or below
+    # the true share prod p**(-e mod q)
+    B = factoring._TRIAL_LIMIT
+    m = math.prod(p**e for p, e in exponents.items())
+    assert m >= B**13 and all(p > B for p in exponents)
+    share = math.prod(p ** (-e % q) for p, e in exponents.items())
+    assert 1 <= factoring._least_share(m, q) <= share
+
+
+def test_defect_bound_needs_nl_below_the_trial_limit():
+    # the cofactors of two pieces can share any prime of n*l, and the bound
+    # merges only those below B: at n*l >= B it decides no base, not even
+    # against a limit that every defect reaches
+    B = factoring._TRIAL_LIMIT
+    assert factoring.defect_reaches(B - 1, 1, 2, 1, ())
+    assert not factoring.defect_reaches(B, 1, 2, 1, ())
+    assert not factoring.defect_reaches(2, B // 2, 3, 1, ())
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=200_000))
 def test_factor_roundtrip(n):

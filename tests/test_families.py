@@ -47,8 +47,8 @@ def test_fundamental_units_have_unit_norm():
 
 
 def test_find_seed():
-    assert find_seed(3, -3, a_odd=True, b_multiple=2) == QuadInt(3, 2, 3)
-    assert find_seed(7, -3, a_odd=True, b_multiple=14) == QuadInt(37, 14, 7)
+    assert find_seed(3, -3, b_multiple=2) == QuadInt(3, 2, 3)
+    assert find_seed(7, -3, b_multiple=14) == QuadInt(37, 14, 7)
     with pytest.raises(FamilyError):
         # no a**2 == 3 b**2 - 5 exists mod 4, so the whole bound is searched
         find_seed(3, -5)
@@ -77,7 +77,7 @@ def test_norm_family_validation():
     with pytest.raises(FamilyError):
         NormFamily(2, -1, u, QuadInt(2, 1, 2), 2)  # not a unit
     with pytest.raises(FamilyError):
-        NormFamily(2, -1, u, u, 3, congruence=(13, (1, 1)))  # u^3 != 1 mod 13
+        NormFamily(2, -1, u, u, 3, modulus=13)  # u^3 != 1 mod 13
 
 
 # golden first members, straight from the solution tables

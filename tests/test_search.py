@@ -655,6 +655,38 @@ def test_invariant_checks_survive_optimize():
     assert proc.stdout.count("power-equation") == 4
 
 
+# _checked on the (2,3,1) record at base 18 with y = 50 in place of 49;
+# no assert, so python -O runs all of it
+CHECKED_SCRIPT = textwrap.dedent(
+    """
+    from repwords import search
+    from repwords.words import canonical_word
+
+    good = search.SolutionRecord(2, 3, 1, 18, 49, 7, canonical_word(18, (7,)))
+    if search._checked(good, "oracle") is not good:
+        raise SystemExit("a good record did not pass through")
+    try:
+        search._checked(search.SolutionRecord(2, 3, 1, 18, 50, 7, good.w), "oracle")
+    except search.InvariantError as e:
+        print(e)
+    """
+)
+
+
+def test_checked_refuses_a_bad_record(capsys):
+    # in this process, then under python -O, which must keep the raise
+    exec(CHECKED_SCRIPT, {})
+    out = capsys.readouterr().out
+    assert out.startswith("oracle produced a record failing power-equation: ")
+    src = os.path.dirname(os.path.dirname(repwords.__file__))
+    under_o = "import sys\nif not sys.flags.optimize:\n    sys.exit('not running under -O')\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", under_o + CHECKED_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_checkpoint_rejects_foreign_triple(tmp_path):
     t = Triple(2, 3, 1)
     path = str(tmp_path / "cp.jsonl")
