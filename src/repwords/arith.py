@@ -64,9 +64,6 @@ class QuadInt:
     def norm(self) -> int:
         return self.a * self.a - self.d * self.b * self.b
 
-    def conjugate(self) -> QuadInt:
-        return QuadInt(self.a, -self.b, self.d)
-
     def __neg__(self) -> QuadInt:
         return QuadInt(-self.a, -self.b, self.d)
 
@@ -92,15 +89,6 @@ class QuadInt:
             base = base * base
             k >>= 1
         return result
-
-    def inverse(self) -> QuadInt:
-        """Multiplicative inverse; exists in the ring only for norm +-1."""
-        n = self.norm()
-        if n == 1:
-            return self.conjugate()
-        if n == -1:
-            return -self.conjugate()
-        raise ValueError(f"not a unit (norm {n})")
 
     def reduce(self, m: int) -> QuadInt:
         return QuadInt(self.a % m, self.b % m, self.d)

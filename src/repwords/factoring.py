@@ -473,18 +473,15 @@ def _sieve(d: int, lo: int, entries: list) -> None:
             entries[i] = _piece_cache[(d, lo + i)] = (tuple(powers[i]), v)
 
 
-def factor_quotient(
-    b: int, n: int, l: int, *, budget_ms: int | None = None, pieces: tuple | None = None
-) -> Factorization:
+def factor_quotient(b: int, n: int, l: int, *, budget_ms: int | None = None) -> Factorization:
     """Factor (b**(n*l) - 1) // (b**l - 1) piecewise via cyclotomic values.
 
-    Pieces are memoized per (d, b), so range scans that share pieces
-    across triples do not refactor them; pieces, when given, are base
-    b's row of sieve_pieces, paired here with _piece_orders(n, l).
+    Starts from base b's row of sieve_pieces, a cache hit when a range
+    scan has just sieved b.  Pieces are memoized per (d, b), so range
+    scans that share pieces across triples do not refactor them.
     budget_ms bounds the whole call; sieving is not counted against it.
     """
-    if pieces is None:
-        [pieces] = sieve_pieces(b, b, n, l)
+    [pieces] = sieve_pieces(b, b, n, l)
     deadline = _Deadline(budget_ms)
     total: dict[int, int] = {}
     for d, (powers, cofactor) in zip(_piece_orders(n, l), pieces):
@@ -626,7 +623,7 @@ def open_defects(
         if defect_reaches(n, l, q, b**l, pieces):
             continue
         try:
-            d = compute_defect(factor_quotient(b, n, l, budget_ms=budget_ms, pieces=pieces), q)
+            d = compute_defect(factor_quotient(b, n, l, budget_ms=budget_ms), q)
         except FactorBudgetError:
             d = None
         yield b, d

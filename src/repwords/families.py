@@ -5,21 +5,21 @@ has a family, and the admissible triples are (2, 2, l) for every l,
 (q, 2, 1) for every q, and the seven sporadic triples (2,3,1), (2,3,2),
 (3,2,2), (3,2,3), (3,3,1), (2,4,1), (4,2,2).  The two-repetition families
 come from explicit digit identities.  Each sporadic generator is a
-NormFamily (an orbit of a fundamental unit acting on a fixed-norm element
-of a real quadratic ring, sometimes thinned by a congruence so a
-divisibility side condition holds) plus a member map from an orbit
-element to (b, y, c); one orbit walker drops the degenerate members
-(base below 2) and turns the rest into records.  Every generator verifies
-the full digit-string property of each candidate before emitting it; a
-member that fails raises FamilyError.
+NormFamily (the orbit of a seed of a real quadratic ring under the
+growing fundamental unit, thinned by a congruence where a divisibility
+side condition needs it) plus a member map from an orbit element to
+(b, y, c); one orbit walker drops the degenerate members (base below 2)
+and turns the rest into records.  Every generator verifies the full
+digit-string property of each candidate before emitting it; a member
+that fails raises FamilyError.
 The bijective and Zeckendorf square families are one construction each,
 checked digit for digit; the bundled table of bijective pattern families
 is read and checked by corpus, which owns its format.
 
 Seeds are located by bounded brute force over small ring elements with
 the required norm, or as the first orbit member with a side condition;
-a family's congruence class is its seed's.  Unit-power steps are found
-by iterating to the first power congruent to 1, never hard-coded.
+a family's ring, norm and congruence class are its seed's.  Thinning
+steps are found by iterating to the first unit power congruent to 1.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from .words import (
     zeckendorf_word,
 )
 
-# The only three rings that occur, with their fundamental units.
+# The only three rings that occur, with their fundamental units > 1.
 FUNDAMENTAL_UNITS = {
     2: QuadInt(1, 1, 2),
-    3: QuadInt(2, -1, 3),
-    7: QuadInt(8, -3, 7),
+    3: QuadInt(2, 1, 3),
+    7: QuadInt(8, 3, 7),
 }
 
 
@@ -63,57 +63,38 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class NormFamily:
-    """Orbit seed * growth**(step * k) inside a fixed-norm fiber.
+    """Orbit seed * unit**(step * k), k >= 0, in the seed's ring and norm.
 
+    The unit grows (a, b > 0), so each step grows a positive member.
     Every member stays in the seed's class mod `modulus`, which requires
     unit**step == 1 mod modulus.
     """
 
-    d: int
-    target_norm: int
     seed: QuadInt
     unit: QuadInt
     step: int
     modulus: int = 1
 
     def __post_init__(self) -> None:
-        if self.seed.d != self.d or self.unit.d != self.d:
-            raise FamilyError("seed and unit must live in Z[sqrt(d)]")
-        if self.seed.norm() != self.target_norm:
-            raise FamilyError(
-                f"seed norm {self.seed.norm()} != target {self.target_norm}"
-            )
+        if self.unit.d != self.seed.d:
+            raise FamilyError("seed and unit must live in the same ring")
         if abs(self.unit.norm()) != 1:
             raise FamilyError("unit must have norm +-1")
+        if self.unit.a <= 0 or self.unit.b <= 0:
+            raise FamilyError(f"unit {self.unit} does not grow: a and b must be > 0")
         if self.step < 1:
             raise FamilyError("step must be >= 1")
-        if not (self.unit**self.step).congruent(QuadInt(1, 0, self.d), self.modulus):
+        if not (self.unit**self.step).congruent(QuadInt(1, 0, self.seed.d), self.modulus):
             raise FamilyError(f"unit**{self.step} is not 1 mod {self.modulus}")
 
 
-def _growth_direction(unit: QuadInt) -> QuadInt:
-    """The associate of the unit with both components positive.
-
-    Exactly one of unit, -unit, and their inverses has a, b > 0, and
-    multiplying by it strictly grows positive elements.
-    """
-    inv = unit.inverse()
-    for cand in (unit, -unit, inv, -inv):
-        if cand.a > 0 and cand.b > 0:
-            return cand
-    raise FamilyError("unit has no positive associate")
-
-
 def _norm_family_stream(f: NormFamily) -> Iterator[QuadInt]:
-    m = f.modulus
-    g = _growth_direction(f.unit) ** f.step
-    if not g.congruent(QuadInt(1, 0, f.d), m):
-        raise FamilyError(f"growth step is not 1 mod {m}")
-    x = first = -f.seed if f.seed.a < 0 else f.seed
+    m, norm, g = f.modulus, f.seed.norm(), f.unit**f.step
+    x = f.seed
     while True:
-        if x.a <= 0 or x.b <= 0 or x.norm() != f.target_norm:
-            raise FamilyError(f"orbit left the positive norm-{f.target_norm} branch at {x}")
-        if not x.congruent(first, m):
+        if x.a <= 0 or x.b <= 0 or x.norm() != norm:
+            raise FamilyError(f"orbit left the positive norm-{norm} branch at {x}")
+        if not x.congruent(f.seed, m):
             raise FamilyError(f"orbit member {x} left its class mod {m}")
         yield x
         x = x * g
@@ -168,9 +149,9 @@ def _orbit(
 
 
 # odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
-_PELL = NormFamily(2, -1, FUNDAMENTAL_UNITS[2], FUNDAMENTAL_UNITS[2], 2)
+_PELL = NormFamily(FUNDAMENTAL_UNITS[2], FUNDAMENTAL_UNITS[2], 2)
 # a**2 - 3 b**2 = -3 with b even (so a odd): the (2,3,1) fiber
-_FIBER_231 = NormFamily(3, -3, find_seed(3, -3, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
+_FIBER_231 = NormFamily(find_seed(3, -3, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
 
 
 def gen_n21(q: int, count: int) -> list[SolutionRecord]:
@@ -209,7 +190,7 @@ def gen_232(count: int) -> list[SolutionRecord]:
     unit = FUNDAMENTAL_UNITS[3]
     # 4 (x**2 - x + 1) = (a - 2)**2 + 3, so this is _member_232's divisibility
     seed = next(el for el in _norm_family_stream(_FIBER_231) if ((el.a - 2) ** 2 + 3) % 49 == 0)
-    fam = NormFamily(3, -3, seed, unit, unit_order(unit, 98), 98)
+    fam = NormFamily(seed, unit, unit_order(unit, 98), 98)
     return _orbit((2, 3, 2), fam, _member_232, count)
 
 
@@ -221,7 +202,7 @@ def gen_322(count: int) -> list[SolutionRecord]:
 def gen_331(count: int) -> list[SolutionRecord]:
     """(3, 3, 1): 343 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(7)]."""
     unit = FUNDAMENTAL_UNITS[7]
-    fam = NormFamily(7, -3, find_seed(7, -3, b_multiple=14), unit, unit_order(unit, 14), 14)
+    fam = NormFamily(find_seed(7, -3, b_multiple=14), unit, unit_order(unit, 14), 14)
     return _orbit((3, 3, 1), fam, lambda el: ((el.a - 1) // 2, 7 * (el.b // 14), el.b // 14), count)
 
 
@@ -249,7 +230,7 @@ def _member_422(el: QuadInt) -> tuple[int, int, int]:
 def gen_422(count: int) -> list[SolutionRecord]:
     """(4, 2, 2): powers u**(14k+7) in Z[sqrt(2)], which force 13 | y0."""
     u = FUNDAMENTAL_UNITS[2]
-    fam = NormFamily(d=2, target_norm=-1, seed=u**7, unit=u, step=14)
+    fam = NormFamily(u**7, u, 14)
     return _orbit((4, 2, 2), fam, _member_422, count)
 
 

@@ -168,11 +168,25 @@ def test_report_formatting(tmp_path):
     assert "1/2 rows pass" in text
 
 
+@pytest.mark.parametrize(
+    "header,row,expect",
+    [
+        ("y,w", "4,100,1", "expected 2 columns"),
+        ("b,row,y_pattern,w_pattern", '7,1,"(3:2n+2)4"', "expected 4 columns"),
+    ],
+)
+def test_layouts_check_their_column_count(tmp_path, header, row, expect):
+    p = tmp_path / "cols.csv"
+    p.write_text(f"{header}\n{row}\n")
+    with pytest.raises(MalformedCorpusError, match=f"^cols:2: {expect}$"):
+        load_corpus(p)
+
+
 def test_zeckendorf_corpus_checks_square(tmp_path):
     p = tmp_path / "z.csv"
-    p.write_text("y,w\n4,100\n5,100\n")
+    p.write_text("y,w\n4,100\n5,100\n1,1\n")
     report = verify_corpus(load_corpus(p))
-    assert [r.failure for r in report.results] == [None, "square-digits"]
+    assert [r.failure for r in report.results] == [None, "square-digits", "y-range"]
 
 
 def test_pattern_corpus_roundtrip(tmp_path):

@@ -44,6 +44,8 @@ def test_fundamental_units_have_unit_norm():
     assert FUNDAMENTAL_UNITS[2].norm() == -1
     assert FUNDAMENTAL_UNITS[3].norm() == 1
     assert FUNDAMENTAL_UNITS[7].norm() == 1
+    # each is the growing unit: both components positive
+    assert all(u.a > 0 and u.b > 0 for u in FUNDAMENTAL_UNITS.values())
 
 
 def test_find_seed():
@@ -56,7 +58,7 @@ def test_find_seed():
 
 def test_norm_family_stream_pell():
     u = FUNDAMENTAL_UNITS[2]
-    fam = NormFamily(d=2, target_norm=-1, seed=u, unit=u, step=2)
+    fam = NormFamily(u, u, 2)
     members = list(islice(_norm_family_stream(fam), 4))
     assert [(m.a, m.b) for m in members] == [(1, 1), (7, 5), (41, 29), (239, 169)]
     assert all(m.norm() == -1 for m in members)
@@ -65,7 +67,7 @@ def test_norm_family_stream_pell():
 
 def test_norm_family_norm_preserved_100():
     u3 = FUNDAMENTAL_UNITS[3]
-    fam = NormFamily(3, -3, QuadInt(3, 2, 3), u3, 2)
+    fam = NormFamily(QuadInt(3, 2, 3), u3, 2)
     for m in islice(_norm_family_stream(fam), 100):
         assert m.norm() == -3 and m.a > 0 and m.b > 0
 
@@ -73,11 +75,27 @@ def test_norm_family_norm_preserved_100():
 def test_norm_family_validation():
     u = FUNDAMENTAL_UNITS[2]
     with pytest.raises(FamilyError):
-        NormFamily(2, -3, u, u, 2)  # seed norm mismatch
+        NormFamily(QuadInt(3, 2, 3), u, 2)  # unit of another ring
     with pytest.raises(FamilyError):
-        NormFamily(2, -1, u, QuadInt(2, 1, 2), 2)  # not a unit
+        NormFamily(u, QuadInt(2, 1, 2), 2)  # not a unit
     with pytest.raises(FamilyError):
-        NormFamily(2, -1, u, u, 3, modulus=13)  # u^3 != 1 mod 13
+        NormFamily(QuadInt(3, 2, 3), QuadInt(2, -1, 3), 2)  # shrinking unit
+    with pytest.raises(FamilyError):
+        NormFamily(u, u, 0)  # step below 1
+    with pytest.raises(FamilyError):
+        NormFamily(u, u, 3, modulus=13)  # u^3 != 1 mod 13
+
+
+def test_norm_family_stream_stays_on_its_branch():
+    u = FUNDAMENTAL_UNITS[2]
+    # u has norm -1, so an odd step reaches norm +1 at the second member
+    stream = _norm_family_stream(NormFamily(u, u, step=1))
+    assert next(stream) == u
+    with pytest.raises(FamilyError, match="left the positive norm--1 branch"):
+        next(stream)
+    # a seed off the positive branch is refused at its first member
+    with pytest.raises(FamilyError, match="left the positive"):
+        next(_norm_family_stream(NormFamily(-u, u, 2)))
 
 
 # golden first members, straight from the solution tables
@@ -132,7 +150,7 @@ def test_gen_331_congruence():
 
 def test_gen_422_divisibility():
     u7 = FUNDAMENTAL_UNITS[2] ** 7
-    fam = NormFamily(2, -1, u7, FUNDAMENTAL_UNITS[2], 14)
+    fam = NormFamily(u7, FUNDAMENTAL_UNITS[2], 14)
     for m in islice(_norm_family_stream(fam), 5):
         assert m.b % 13 == 0
 

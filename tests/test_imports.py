@@ -1,8 +1,9 @@
 """Package layout: no private imports across modules, imports only at
 module level in an acyclic module graph, no raised int/str digit limit, no
-assert statement, and an exact __all__."""
+assert statement, an exact __all__, and no function without a caller."""
 
 import ast
+from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from types import ModuleType
@@ -99,3 +100,35 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     ]
     assert sorted(repwords.__all__) == sorted(public)
+
+
+def _defined_functions(tree):
+    """(qualified name, def node) of each module-level function and each
+    method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _named(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_function_has_a_caller():
+    # a helper that only its own tests call is dead weight: every function
+    # is named somewhere in the package outside its own body, or exported
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(_named(node) for tree in trees.values() for node in ast.walk(tree))
+    found = []
+    for fname, tree in trees.items():
+        for qualname, fn in _defined_functions(tree):
+            inside = sum(_named(node) == fn.name for node in ast.walk(fn))
+            if uses[fn.name] <= inside and fn.name not in repwords.__all__:
+                found.append(f"{fname}:{fn.lineno}: {qualname}")
+    assert found == []

@@ -524,6 +524,23 @@ def test_checkpoint_holds_records_of_any_size(tmp_path):
     assert load_checkpoint(path, expect=rec.triple) == cp
 
 
+def test_failed_checkpoint_rewrite_leaves_old_file(tmp_path, monkeypatch):
+    # the rewrite goes to a temporary file that a failed replace removes
+    t = Triple(2, 3, 1)
+    path = tmp_path / "cp.jsonl"
+    search_range(t, 2, 100, str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_checkpoint(str(path), Checkpoint(t, ((2, 300),), (), ()))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.jsonl"]
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):
     # a kill during an append leaves a half-written last line; resuming
     # from a cut at any byte of the last chunk gives the uninterrupted run
