@@ -166,7 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a solution table row by row")
     p.add_argument("--corpus", default=None, help="bundled name or CSV path")
-    p.add_argument("--pattern-n-max", type=int, default=50)
+    p.add_argument(
+        "--pattern-n-max", type=int, default=50, metavar="N",
+        help="also check pattern rows to n = N; each row is always checked far enough to prove it",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("factor", help="factor (b^(n*l)-1)/(b^l-1)")

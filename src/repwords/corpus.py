@@ -13,7 +13,8 @@ a digit stands for itself and (block:kn+m) for the digit block repeated
 k*n + m times, so '(3:2n+2)4' is 3 written 2n+2 times, then 4.
 verify_corpus recomputes every row from scratch and reports the first
 violated invariant per row, never stopping at the first bad row; a
-pattern row is checked at every n up to pattern_n_max.
+pattern row is checked by value at n = 0..max(E, pattern_n_max), which
+proves it for every n >= 0 (see _check_pattern_row).
 write_rows prints rows in the same cell formats, so the CSV of `repwords
 search` or canonical `repwords generate` loads back as a corpus at any
 size; the bijective and fibonacci `generate` headers are not corpus
@@ -41,7 +42,6 @@ from .words import (
     parse_decimal,
     parse_decimals,
     repeat_word,
-    to_bijective,
     to_zeckendorf,
     word_value,
     zeckendorf_word,
@@ -105,29 +105,19 @@ def _word_cell(w: Word, fmt: str) -> str | list[str]:
 def parse_pattern(text: str) -> list[tuple[tuple[int, ...], int, int]]:
     """Parse e.g. '(12:3n+3)212' into (block, coef, const) runs, where
     the block repeats coef*n + const times."""
-    out = []
-    pos = 0
+    out, pos = [], 0
     for m in _PATTERN_TOKEN.finditer(text):
         if m.start() != pos:
             raise ValueError(f"bad pattern {text!r} at offset {pos}")
         pos = m.end()
-        if m.group(4) is not None:
-            out.append(((int(m.group(4)),), 0, 1))
+        block, coef, const, digit = m.groups()
+        if digit is not None:
+            out.append(((int(digit),), 0, 1))
         else:
-            block = tuple(int(ch) for ch in m.group(1))
-            coef = int(m.group(2)) if m.group(2) else 1
-            const = int(m.group(3)) if m.group(3) else 0
-            out.append((block, coef, const))
+            out.append((tuple(map(int, block)), int(coef or 1), int(const or 0)))
     if pos != len(text):
         raise ValueError(f"bad pattern {text!r} at offset {pos}")
     return out
-
-
-def _instantiate_pattern(b: int, runs, n: int) -> Word:
-    digits: tuple[int, ...] = ()
-    for block, coef, const in runs:
-        digits += block * (coef * n + const)
-    return bijective_word(b, digits)
 
 
 def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
@@ -157,12 +147,7 @@ def _tables_dir():
 
 def builtin_corpora() -> tuple[str, ...]:
     """Names of the corpora shipped inside the package."""
-    names = [
-        entry.name[:-4]
-        for entry in _tables_dir().iterdir()
-        if entry.name.endswith(".csv")
-    ]
-    return tuple(sorted(names))
+    return tuple(sorted(e.name[:-4] for e in _tables_dir().iterdir() if e.name.endswith(".csv")))
 
 
 def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
@@ -197,13 +182,12 @@ def _parse_rows(kind: str, numbered, name: str):
                     raise MalformedCorpusError(f"{where}: expected 4 columns")
                 base, number = map(parse_decimal, cells[:2])
                 row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
-                for pat in (row.y_pattern, row.w_pattern):
-                    for block, _, _ in parse_pattern(pat):
-                        bad = [d for d in block if not 1 <= d <= row.base]
-                        if bad:
-                            raise MalformedCorpusError(
-                                f"{where}: digit {bad[0]} outside 1..{format_decimal(row.base)}"
-                            )
+                for block, _, _ in parse_pattern(row.y_pattern) + parse_pattern(row.w_pattern):
+                    bad = [d for d in block if not 1 <= d <= row.base]
+                    if bad:
+                        raise MalformedCorpusError(
+                            f"{where}: digit {bad[0]} outside 1..{format_decimal(row.base)}"
+                        )
                 rows.append(row)
         except MalformedCorpusError:
             raise
@@ -220,19 +204,15 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
     """
     path = Path(name_or_path)
     if path.is_file():
-        name = path.stem
-        text = path.read_text()
+        name, text = path.stem, path.read_text()
     else:
-        base = str(name_or_path)
-        if base.endswith(".csv"):
-            base = base[:-4]
+        base = str(name_or_path).removesuffix(".csv")
         entry = _tables_dir().joinpath(base + ".csv")
         if not entry.is_file():
             raise MalformedCorpusError(
                 f"no such corpus {name_or_path!r}; bundled: {', '.join(builtin_corpora())}"
             )
-        name = base
-        text = entry.read_text()
+        name, text = base, entry.read_text()
 
     numbered = [
         (lineno, line)
@@ -263,17 +243,44 @@ def _check_zeckendorf_row(y: int, w: Word) -> str | None:
     return None
 
 
+def _pattern_value(b: int, runs, n: int) -> tuple[int, int]:
+    """(value, b**length) of a pattern's word at n: a run (block:kn+j) is worth
+    value(block) * (P**c - 1) / (P - 1), for c = kn + j and P = b**len(block)."""
+    value, scale = 0, 1
+    for block, coef, const in runs:
+        count = coef * n + const
+        if count:
+            p = b ** len(block)
+            pc = p**count
+            value = value * pc + word_value(bijective_word(b, block)) * (pc - 1) // (p - 1)
+            scale *= pc
+    return value, scale
+
+
+def _proof_degree(y_runs, w_runs) -> int:
+    """E = 2 max(deg y, deg w), deg = the sum of coef * len(block) over runs."""
+    return 2 * max(sum(coef * len(block) for block, coef, _ in runs) for runs in (y_runs, w_runs))
+
+
 def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
+    # Bijective words are unique, so y*y spells w w exactly when it equals
+    # value(w w) = w * (b**|w| + 1).  Times fixed denominators, the difference
+    # is a polynomial of degree <= E in b**n: zero at n = 0..E, it is zero at
+    # every n.  A count kn + j that is 0 at some n >= 1 is 0 at all of them, so
+    # the digit and empty-word checks at n <= min(E, 1) hold for every n too.
     y_runs = parse_pattern(row.y_pattern)
     w_runs = parse_pattern(row.w_pattern)
-    for n in range(n_max + 1):
+    for n in range(max(_proof_degree(y_runs, w_runs), n_max) + 1):
         try:
-            y = word_value(_instantiate_pattern(row.base, y_runs, n))
-            w = _instantiate_pattern(row.base, w_runs, n)
-            square = to_bijective(y * y, row.base)
-        except ValueError as exc:  # y is the empty word, or a digit is outside 1..b
+            y, _ = _pattern_value(row.base, y_runs, n)
+            w, scale = _pattern_value(row.base, w_runs, n)
+        except ValueError as exc:  # a digit is outside 1..b
             return f"n={n}: {exc}"
-        if square != repeat_word(w, 2):
+        if not y:
+            return f"n={n}: x must be >= 1"
+        if not w:
+            return f"n={n}: cannot repeat the empty word"
+        if y * y != w * (scale + 1):
             return f"square-digits at n={n}"
     return None
 

@@ -199,20 +199,29 @@ def gen_322(count: int) -> list[SolutionRecord]:
     return _orbit((3, 2, 2), _PELL, lambda el: (el.a, 2 * el.b, 4 * el.b), count)
 
 
+# a**2 - 7 b**2 = -3 with 14 | b: the (3,3,1) orbit, which (3,2,3) shares
+_ORBIT_331 = NormFamily(
+    find_seed(7, -3, b_multiple=14), FUNDAMENTAL_UNITS[7], unit_order(FUNDAMENTAL_UNITS[7], 14), 14
+)
+
+
+def _member_331(el: QuadInt) -> tuple[int, int, int]:
+    return (el.a - 1) // 2, 7 * (el.b // 14), el.b // 14
+
+
 def gen_331(count: int) -> list[SolutionRecord]:
     """(3, 3, 1): 343 y0**2 = x**2 + x + 1 from norm -3 in Z[sqrt(7)]."""
-    unit = FUNDAMENTAL_UNITS[7]
-    fam = NormFamily(find_seed(7, -3, b_multiple=14), unit, unit_order(unit, 14), 14)
-    return _orbit((3, 3, 1), fam, lambda el: ((el.a - 1) // 2, 7 * (el.b // 14), el.b // 14), count)
+    return _orbit((3, 3, 1), _ORBIT_331, _member_331, count)
+
+
+def _member_323(el: QuadInt) -> tuple[int, int, int]:
+    b, y, c = _member_331(el)
+    return b + 1, y * (b + 2), c * (b + 2) ** 2
 
 
 def gen_323(count: int) -> list[SolutionRecord]:
-    """(3, 2, 3): image of gen_331 under b, y, c -> b+1, y(b+2), c(b+2)**2."""
-    images = (
-        _rec(3, 2, 3, r.b + 1, r.y * (r.b + 2), r.c * (r.b + 2) ** 2)
-        for r in gen_331(count)
-    )
-    return _emit_verified(images, count)
+    """(3, 2, 3): the (3,3,1) members under b, y, c -> b+1, y(b+2), c(b+2)**2."""
+    return _orbit((3, 2, 3), _ORBIT_331, _member_323, count)
 
 
 def gen_241(count: int) -> list[SolutionRecord]:

@@ -336,6 +336,16 @@ def test_verify_all_builtin(capsys):
     assert "corpus fibonacci_squares: 22/22 rows pass" in out
 
 
+# verify stdout over every bundled table, patterns checked to n = 60
+VERIFY_DIGEST = "25f8cf497b9f5b9c0917abe8e91dd1cd1ffc3c29b4b95710f67fe672fb2737a5"
+
+
+def test_verify_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--pattern-n-max", "60")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
+
 def test_verify_failing_corpus(capsys, tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("q,n,l,b,y,c,w\n2,3,1,18,49,8,(8)\n")

@@ -8,7 +8,9 @@ import pytest
 from repwords import SolutionRecord, canonical_word
 from repwords.corpus import (
     MalformedCorpusError,
+    PatternRow,
     TableCorpus,
+    _proof_degree,
     builtin_corpora,
     format_report,
     load_corpus,
@@ -210,12 +212,47 @@ def test_pattern_corpus_reports_failing_rows(tmp_path):
         '7,1,"(3:2n+2)4","(15:n+1)2"\n'
         '7,2,"(3:2n+2)5","(15:n+1)2"\n'  # y perturbed: its square is no w w
         '7,3,"(3:n)","(15:n+1)2"\n'  # y is the empty word at n = 0
+        '7,4,"(3:2n+2)4","(15:n)"\n'  # w is the empty word at n = 0
+        '7,5,"(3:2n+2)4","(15:n+1)2"\n'  # the rows after a failing one are still checked
     )
     report = verify_corpus(load_corpus(p), pattern_n_max=3)
     assert [r.failure for r in report.results] == [
         None,
         "square-digits at n=0",
         "n=0: x must be >= 1",
+        "n=0: cannot repeat the empty word",
+        None,
+    ]
+
+
+def test_pattern_proof_degrees_are_pinned():
+    # E = 2 max(deg y, deg w) for each bundled row, in table order; every
+    # row is checked at n = 0..max(E, pattern_n_max)
+    rows = load_corpus("bijective_families").rows
+    degrees = [_proof_degree(parse_pattern(r.y_pattern), parse_pattern(r.w_pattern)) for r in rows]
+    assert degrees == [12, 40, 20, 20, 12, 28, 28, 4, 4, 40, 40, 40]
+    assert _proof_degree(parse_pattern("(3:0n+2)4"), parse_pattern("12")) == 0
+
+
+def test_changed_block_digit_fails_at_pattern_n_max_0(tmp_path):
+    # the block (221112:n) is absent at n = 0, so a change to it shows from
+    # n = 1 on: the check goes past pattern_n_max to the row's E = 12
+    p = tmp_path / "pat.csv"
+    p.write_text('b,row,y_pattern,w_pattern\n2,1,"(12:3n+3)212","(221111:n)221121112"\n')
+    report = verify_corpus(load_corpus(p), pattern_n_max=0)
+    assert [r.failure for r in report.results] == ["square-digits at n=1"]
+
+
+def test_hand_built_row_with_digit_outside_base_fails():
+    # load_corpus refuses such a row; verify_corpus names it at the first n that uses the digit
+    rows = (
+        PatternRow(7, 1, "(3:2n+2)8", "(15:n+1)2"),
+        PatternRow(7, 2, "(3:2n+2)4", "(15:n+1)2(0:n)"),
+    )
+    report = verify_corpus(TableCorpus("hand", "bijective-patterns", rows), pattern_n_max=0)
+    assert [r.failure for r in report.results] == [
+        "n=0: bijective digit out of range",
+        "n=1: bijective digit out of range",
     ]
 
 

@@ -9,7 +9,8 @@ import pytest
 from repwords import families
 from repwords.arith import QuadInt
 from repwords.corpus import (
-    _instantiate_pattern,
+    _check_pattern_row,
+    _pattern_value,
     format_report,
     load_corpus,
     parse_pattern,
@@ -37,7 +38,7 @@ from repwords.families import (
 from repwords.factoring import primes_upto
 from repwords.search import verify_solution
 from repwords.triples import Triple
-from repwords.words import repeat_word, to_bijective, to_zeckendorf, word_value
+from repwords.words import bijective_word, repeat_word, to_bijective, to_zeckendorf, word_value
 
 
 def test_fundamental_units_have_unit_norm():
@@ -257,6 +258,14 @@ def _bijective_rows():
     return {(r.base, r.row): r for r in load_corpus("bijective_families").rows}
 
 
+def _instantiate_pattern(b, runs, n):
+    # the digit oracle: every digit of the pattern's word at n
+    digits = ()
+    for block, coef, const in runs:
+        digits += block * (coef * n + const)
+    return bijective_word(b, digits)
+
+
 def _bijective_member(row, n):
     y = word_value(_instantiate_pattern(row.base, parse_pattern(row.y_pattern), n))
     return y, _instantiate_pattern(row.base, parse_pattern(row.w_pattern), n)
@@ -279,9 +288,22 @@ def test_gen_bijective_table_deep():
         for n in (0, 1, 7, 20):
             y, w = _bijective_member(row, n)
             assert to_bijective(y * y, row.base) == repeat_word(w, 2)
-    # every bundled family holds at every n up to 20, well past the tests' default depth
+    # the value check proves every bundled family for all n, whatever pattern_n_max
     report = verify_corpus(load_corpus("bijective_families"), pattern_n_max=20)
     assert report.ok, format_report(report)
+
+
+def test_pattern_value_check_agrees_with_digit_oracle():
+    for row in _bijective_rows().values():
+        b, y_runs, w_runs = row.base, parse_pattern(row.y_pattern), parse_pattern(row.w_pattern)
+        for n in range(61):
+            y, w = _bijective_member(row, n)
+            assert _pattern_value(b, y_runs, n) == (y, b ** len(to_bijective(y, b)))
+            value, scale = _pattern_value(b, w_runs, n)
+            assert (value, scale) == (word_value(w), b ** len(w))
+            for z in (y, y + 1):  # a member, and a square that spells no w w
+                assert (z * z == value * (scale + 1)) == (to_bijective(z * z, b) == repeat_word(w, 2))
+        assert _check_pattern_row(row, 60) is None
 
 
 def test_gen_fibonacci_family():
