@@ -10,6 +10,7 @@ FamilyError are bugs, not usage errors: they propagate as a traceback
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .corpus import (
@@ -100,7 +101,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_factor(args) -> int:
     f = factor_quotient(args.b, args.n, args.l, budget_ms=args.budget)
-    print(" * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors))
+    print(" * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors) or "1")
     return 0
 
 
@@ -123,6 +124,7 @@ def _cmd_repr(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repwords",

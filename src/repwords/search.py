@@ -507,7 +507,14 @@ def search_fib_powers(q: int, n: int, y_max: int) -> list[tuple[int, Word]]:
     y with F(nk+1) <= y**q < F(nk+2) can match, and for each of them U
     lies within one of U0 = y**q * num // den, where num/den approximates
     1/(A + B/phi) by a Fibonacci ratio; a match needs B | y**q - A*U.
-    Every y passing that test is re-encoded exactly before it is reported.
+
+    The division is by a divisor fixed for the whole block length k, so
+    it is done once: with s the bit length of F(nk+2) and
+    mul = (num << s) // den, the scan takes U0' = (y**q * mul) >> s.
+    Since y**q < F(nk+2) < 2**s and 0 <= num/den - mul/2**s < 2**-s,
+    y**q * num/den exceeds y**q * mul/2**s by less than 1, so U0' is U0
+    or U0 - 1, and U lies in U0' + {-1, 0, 1, 2}.  Every y passing the
+    test for those four is re-encoded exactly before it is reported.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -518,16 +525,19 @@ def search_fib_powers(q: int, n: int, y_max: int) -> list[tuple[int, Word]]:
         y_lo = max(2, ceil_root(fibonacci(n * k + 1), q))
         if y_lo >= y_max:
             return out
-        y_hi = min(y_max, ceil_root(fibonacci(n * k + 2), q))
+        top = fibonacci(n * k + 2)
+        y_hi = min(y_max, ceil_root(top, q))
         a = sum(fibonacci(i * k + 1) for i in range(n))
         b = sum(fibonacci(i * k) for i in range(n))
         m = n * k + 4
         num, den = fibonacci(m + 1), a * fibonacci(m + 1) + b * fibonacci(m)
-        # residues of y**q - A*U0 that leave U in {U0 - 1, U0, U0 + 1}
-        hits = {0, a % b, -a % b}
+        s = top.bit_length()
+        mul = (num << s) // den
+        # residues of y**q - A*U0' that leave U in U0' + {-1, 0, 1, 2}
+        hits = {d * a % b for d in (-1, 0, 1, 2)}
         for y in range(y_lo, y_hi):
             v = y**q
-            if (v - a * (v * num // den)) % b in hits:
+            if (v - a * ((v * mul) >> s)) % b in hits:
                 u = split_repetition(to_zeckendorf(v), n)
                 if u is not None:
                     out.append((y, u))

@@ -410,6 +410,8 @@ def test_factor_output(capsys):
     assert code == 0 and out == "3 * 37\n"
     code, out, _ = run(capsys, *"factor --b 2 --n 6 --l 1".split())
     assert code == 0 and out == "3^2 * 7\n"
+    code, out, _ = run(capsys, *"factor --b 10 --n 1 --l 1".split())  # the quotient is 1
+    assert code == 0 and out == "1\n"
 
 
 def test_factor_rejects_negative_budget(capsys):
@@ -569,3 +571,35 @@ def test_bugs_leave_main_as_themselves(monkeypatch):
     monkeypatch.setattr(cli, "search_range", wrong)
     with pytest.raises(InvariantError, match="no 2-th power"):
         main("search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 30".split())
+
+
+def test_main_called_again_in_one_process(capsys, monkeypatch):
+    # main() reuses one parser per process: no call may see another's options
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 60 --format jsonl",
+        "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 60",
+        "generate --triple 2,3,1 --count 2 --format jsonl",
+        "search --q 2 --n 3 --l 1 --b-lo 2",
+        "generate --triple 2,3,1 --count 2",
+        "factor --b 10 --n 1 --l 1",
+        "repr --x 100 --base 3 --system bijective",
+        "repr --x 100",
+        "classify 2 3 1",
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # argparse refuses before any verb runs
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0, 0, 0, 2, 0]
+    assert alone[0][1] != alone[1][1] and alone[3][1] == ""
+    assert [call(argv) for argv in argvs] == alone

@@ -19,6 +19,7 @@ import pytest
 
 import repwords
 from repwords import factoring, search
+from repwords.arith import ceil_root
 from repwords.factoring import (
     FactorBudgetError,
     Factorization,
@@ -44,6 +45,7 @@ from repwords.search import (
 from repwords.triples import Triple
 from repwords.words import (
     canonical_word,
+    fibonacci,
     format_decimal,
     split_repetition,
     to_canonical,
@@ -797,14 +799,30 @@ def brute_fib_powers(q, n, y_max):
     return out
 
 
-# (5, 2) reaches y**5 > 2**63, past any fixed-width integer scan
+# (5, 2) reaches y**5 > 2**63, past any fixed-width integer scan; in
+# (7, 2) y**7 * mul reaches 122 bits (five 30-bit limbs), and the shifted
+# quotient is one below the exact one on 593 of 1,544 scanned y; (3, 4)
+# runs n = 4 to k = 13
 @pytest.mark.parametrize(
     "q,n,y_max",
     [(2, 2, 20_000), (2, 3, 20_000), (3, 2, 20_000), (2, 4, 20_000),
-     (4, 2, 20_000), (3, 3, 20_000), (5, 2, 20_000)],
+     (4, 2, 20_000), (3, 3, 20_000), (5, 2, 20_000), (7, 2, 3_000),
+     (3, 4, 5_000)],
 )
 def test_fib_powers_match_brute(q, n, y_max):
     assert search_fib_powers(q, n, y_max) == brute_fib_powers(q, n, y_max)
+
+
+@pytest.mark.parametrize(
+    "q,n,k_max", [(2, 2, 12), (3, 2, 12), (2, 3, 12), (4, 2, 12), (3, 3, 12), (2, 4, 9), (3, 4, 12)]
+)
+def test_fib_powers_at_block_edges(q, n, k_max):
+    # block k scans ceil_root(F(nk+1), q) <= y < ceil_root(F(nk+2), q):
+    # stop the scan just before, at and just after each end of each block
+    edges = [ceil_root(fibonacci(n * k + j), q) for k in range(1, k_max + 1) for j in (1, 2)]
+    want = brute_fib_powers(q, n, max(edges) + 2)
+    for y_max in sorted({e + d for e in edges for d in (-1, 0, 1)}):
+        assert search_fib_powers(q, n, y_max) == [(y, u) for y, u in want if y < y_max], y_max
 
 
 def test_fib_powers():
