@@ -1,10 +1,11 @@
 """Command-line front end: one verb per library module.
 
 Exit codes are a stable contract: 0 success, 1 verification or
-operation failure, 2 usage error, 3 checkpoint error.  The verbs only
-raise; ``main`` alone maps their errors to exit codes.  InvariantError and
-FamilyError are bugs, not usage errors: they propagate as a traceback
-(Python's exit 1).
+operation failure (the factoring budget runs out, or an OSError such as
+an unusable --checkpoint path), 2 usage error, 3 checkpoint error.  The
+verbs only raise; ``main`` alone maps their errors to exit codes.
+InvariantError and FamilyError are bugs, not usage errors: they
+propagate as a traceback (Python's exit 1).
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.pattern_n_max < 0:
+        raise ValueError(f"pattern_n_max must be >= 0, got {args.pattern_n_max}")
     names = [args.corpus] if args.corpus else list(builtin_corpora())
     failed = False
     for name in names:
-        corpus = load_corpus(name)
-        report = verify_corpus(corpus, pattern_n_max=args.pattern_n_max)
+        report = verify_corpus(load_corpus(name))
         print(format_report(report))
         failed = failed or not report.ok
     return 1 if failed else 0
@@ -140,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-hi", type=int, required=True)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="number of processes that scan, counting this one (default 1); "
-        "the others start only once this one's pace projects more scanning "
-        "left than starting them costs",
+        help="size of the pool that scans (default 1, no pool); it starts "
+        "only once this process's pace projects more scanning left than "
+        "starting it costs, and takes every chunk left",
     )
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--factor-budget", type=int, default=None, metavar="MS")
@@ -170,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="bundled name or CSV path")
     p.add_argument(
         "--pattern-n-max", type=int, default=50, metavar="N",
-        help="also check pattern rows to n = N; each row is always checked far enough to prove it",
+        help="kept for old scripts and changes nothing: each pattern row is "
+        "checked at n = 0..E, which proves it for every n",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -201,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
-    except FactorBudgetError as exc:
+    except (FactorBudgetError, OSError) as exc:  # an operation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FamilyError:

@@ -13,8 +13,8 @@ a digit stands for itself and (block:kn+m) for the digit block repeated
 k*n + m times, so '(3:2n+2)4' is 3 written 2n+2 times, then 4.
 verify_corpus recomputes every row from scratch and reports the first
 violated invariant per row, never stopping at the first bad row; a
-pattern row is checked by value at n = 0..max(E, pattern_n_max), which
-proves it for every n >= 0 (see _check_pattern_row).
+pattern row is checked by value at n = 0..E, which proves it for every
+n >= 0 (see _check_pattern_row).
 write_rows prints rows in the same cell formats, so the CSV of `repwords
 search` or canonical `repwords generate` loads back as a corpus at any
 size; the bijective and fibonacci `generate` headers are not corpus
@@ -159,18 +159,16 @@ def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
     return SolutionRecord(q, n, l, b, y, c, canonical_word(b, tuple(digits)))
 
 
-def _parse_rows(kind: str, numbered, name: str):
+def _parse_rows(kind: str, width: int, numbered, name: str):
     rows = []
     for lineno, cells in numbered:
         where = f"{name}:{lineno}"
+        if len(cells) != width:
+            raise MalformedCorpusError(f"{where}: expected {width} columns")
         try:
             if kind == "solutions":
-                if len(cells) != 7:
-                    raise MalformedCorpusError(f"{where}: expected 7 columns")
                 rows.append(_parse_solution(cells, where))
             elif kind == "zeckendorf-squares":
-                if len(cells) != 2:
-                    raise MalformedCorpusError(f"{where}: expected 2 columns")
                 y = parse_decimal(cells[0])
                 bits = cells[1].strip()
                 if not bits.isascii():
@@ -178,8 +176,6 @@ def _parse_rows(kind: str, numbered, name: str):
                 digits = tuple(int(ch) for ch in bits)
                 rows.append((y, zeckendorf_word(digits)))
             else:
-                if len(cells) != 4:
-                    raise MalformedCorpusError(f"{where}: expected 4 columns")
                 base, number = map(parse_decimal, cells[:2])
                 row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
                 for block, _, _ in parse_pattern(row.y_pattern) + parse_pattern(row.w_pattern):
@@ -231,7 +227,7 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
     kind = _HEADERS.get(tuple(h.strip() for h in header))
     if kind is None:
         raise MalformedCorpusError(f"{name}:{header_lineno}: unrecognized header {header}")
-    rows = _parse_rows(kind, parsed[1:], name)
+    rows = _parse_rows(kind, len(header), parsed[1:], name)
     return TableCorpus(name, kind, rows)
 
 
@@ -262,7 +258,7 @@ def _proof_degree(y_runs, w_runs) -> int:
     return 2 * max(sum(coef * len(block) for block, coef, _ in runs) for runs in (y_runs, w_runs))
 
 
-def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
+def _check_pattern_row(row: PatternRow) -> str | None:
     # Bijective words are unique, so y*y spells w w exactly when it equals
     # value(w w) = w * (b**|w| + 1).  Times fixed denominators, the difference
     # is a polynomial of degree <= E in b**n: zero at n = 0..E, it is zero at
@@ -270,7 +266,7 @@ def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
     # the digit and empty-word checks at n <= min(E, 1) hold for every n too.
     y_runs = parse_pattern(row.y_pattern)
     w_runs = parse_pattern(row.w_pattern)
-    for n in range(max(_proof_degree(y_runs, w_runs), n_max) + 1):
+    for n in range(_proof_degree(y_runs, w_runs) + 1):
         try:
             y, _ = _pattern_value(row.base, y_runs, n)
             w, scale = _pattern_value(row.base, w_runs, n)
@@ -285,10 +281,8 @@ def _check_pattern_row(row: PatternRow, n_max: int) -> str | None:
     return None
 
 
-def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusReport:
+def verify_corpus(corpus: TableCorpus) -> CorpusReport:
     """Recheck every row of a corpus, one result per row."""
-    if pattern_n_max < 0:
-        raise ValueError(f"pattern_n_max must be >= 0, got {pattern_n_max}")
     results = []
     for row in corpus.rows:
         if corpus.kind == "solutions":
@@ -300,7 +294,7 @@ def verify_corpus(corpus: TableCorpus, *, pattern_n_max: int = 50) -> CorpusRepo
             failure = _check_zeckendorf_row(y, w)
         else:
             label = f"b={format_decimal(row.base)} row={format_decimal(row.row)}"
-            failure = _check_pattern_row(row, pattern_n_max)
+            failure = _check_pattern_row(row)
         results.append(RowResult(label, failure))
     return CorpusReport(corpus.name, tuple(results))
 

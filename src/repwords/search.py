@@ -15,10 +15,10 @@ every c directly backs the fast path in tests.
 
 Range scans persist progress to a line-delimited checkpoint file so
 they can be interrupted, resumed, and partitioned across workers with a
-deterministic final result.  The calling process is one of the workers:
-it scans chunks from the front, and once its own pace projects the bases
-left to take longer than starting a pool costs, forked helpers scan from
-the back.
+deterministic final result.  The calling process scans chunks in
+order, and once its own pace projects the bases left to take longer than
+starting a pool costs, a pool of forked workers scans the rest while it
+appends their results in order.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import operator
 import os
 import tempfile
 import time
-from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -375,9 +374,10 @@ def _scan_chunk(
 _FLUSH_EVERY = 256
 
 # seconds of scanning left, projected from this process's pace, above
-# which helpers start: a pool costs about 30 ms to import, fork and shut
-# down, and on 2 CPUs the two processes slow each other, so a pool started
-# after the first chunk lost on scans of up to about 0.5 s
+# which a pool starts: one costs about 35 ms to import, fork and shut down,
+# and since per-base cost grows with b and the last chunk starts last, a
+# pool of 2 started after the second chunk lost or broke even on scans of
+# up to about 0.6 s on 2 CPUs
 _HELPERS_PAY_S = 0.25
 
 
@@ -393,16 +393,18 @@ def search_range(
     """Scan bases b_lo..b_hi, resuming from and updating the checkpoint.
 
     The gaps are cut into chunks of at most _FLUSH_EVERY bases and a
-    quarter of the gap per worker.  This process scans chunks from the
-    front and times all but the first, which also pays for the one-time
-    sieve tables.  After each timed one, if its time per base times the
-    bases left exceeds _HELPERS_PAY_S, workers - 1 forked helpers start
-    and, about two chunks in flight each, scan from the back; a scan that
-    never gets there runs in this process alone.  Finished chunks are
-    appended to the checkpoint as they come, each range line after its
-    records, so a kill at any byte leaves every unfinished chunk a gap.
-    The final checkpoint is deterministic: independent of worker count,
-    chunking, whether helpers started, and any interrupt/resume history.
+    quarter of the gap per worker.  This process scans chunks in order and
+    times all but the first, which also pays for the one-time sieve
+    tables.  After each timed one, if at least two chunks are left and its
+    time per base times the bases left exceeds _HELPERS_PAY_S, a pool of
+    `workers` forked processes scans every chunk left; a scan that never
+    gets there runs in this process alone.  Finished chunks are appended
+    to the checkpoint in ascending order, each range line after its
+    records, so a kill at any byte leaves every chunk not yet written a
+    gap; a chunk the pool finished while an earlier one still ran is lost
+    by a kill too, and rescanned on resume.  The final checkpoint is
+    deterministic: independent of worker count, chunking, whether the
+    pool started, and any interrupt/resume history.
     """
     if b_lo < 2 or b_lo > b_hi:
         raise ValueError("need 2 <= b_lo <= b_hi")
@@ -413,7 +415,7 @@ def search_range(
         cp = load_checkpoint(checkpoint_path, expect=t)
     else:
         cp = Checkpoint(t, (), (), ())
-    chunks: deque[tuple[int, int]] = deque()
+    chunks: list[tuple[int, int]] = []
     for lo, hi in cp.gaps(b_lo, b_hi):
         step = max(1, min(_FLUSH_EVERY, (hi - lo + 1) // (4 * workers) + 1))
         chunks += [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
@@ -443,42 +445,29 @@ def search_range(
             appender.flush()
 
     scan = partial(_scan_chunk, t, factor_budget_ms)
-    # the caller scans from the front; workers - 1 helpers start, and scan
-    # from the back, once the caller's pace projects the bases left past
-    # _HELPERS_PAY_S; on any exit the pool is shut down, then the appender
-    # closed.  The pace leaves out the caller's first chunk, which also
-    # builds the sieve tables a fresh process lacks
-    in_flight: dict[concurrent.futures.Future, tuple[int, int]] = {}
-    helpers = None
-    first, scanned, spent = True, 0, 0.0
+    # the pace leaves out the first chunk, which also builds the sieve
+    # tables a fresh process lacks.  On any exit the pool's unstarted
+    # chunks are cancelled and the pool shut down, then the appender closed
+    left = sum(hi - lo + 1 for lo, hi in chunks)
+    scanned, spent = 0, 0.0
     with ExitStack() as stack:
         if appender:
             stack.enter_context(appender)
-        while chunks or in_flight:
-            if helpers is None and workers > 1 and scanned and (
-                spent / scanned * sum(hi - lo + 1 for lo, hi in chunks) > _HELPERS_PAY_S
-            ):
-                helpers = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(workers - 1)
-                )
-            while helpers and len(chunks) > 1 and len(in_flight) < 2 * (workers - 1):
-                chunk = chunks.pop()
-                in_flight[helpers.submit(scan, chunk)] = chunk
-            if chunks:
-                chunk = chunks.popleft()
-                start = time.perf_counter()
-                found = scan(chunk)
-                if not first:
-                    spent += time.perf_counter() - start
-                    scanned += chunk[1] - chunk[0] + 1
-                first = False
-                note(chunk, found)
-            else:
-                concurrent.futures.wait(
-                    in_flight, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-            for fut in [f for f in in_flight if f.done()]:
-                note(in_flight.pop(fut), fut.result())
+        for i, chunk in enumerate(chunks):
+            pays = scanned and spent / scanned * left > _HELPERS_PAY_S
+            if workers > 1 and i + 1 < len(chunks) and pays:
+                rest = chunks[i:]
+                pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(workers))
+                for chunk, found in zip(rest, stack.enter_context(closing(pool.map(scan, rest)))):
+                    note(chunk, found)
+                break
+            start = time.perf_counter()
+            found = scan(chunk)
+            left -= chunk[1] - chunk[0] + 1
+            if i:
+                spent += time.perf_counter() - start
+                scanned += chunk[1] - chunk[0] + 1
+            note(chunk, found)
 
     final = Checkpoint(
         t, tuple(completed), tuple(new_solutions), tuple(new_unresolved)

@@ -350,6 +350,6 @@ def render_word(w: Word) -> str:
     """Text form: ``(d1,d2,...,dk)@b`` or, for Zeckendorf, a bit string."""
     if w.system is System.ZECKENDORF:
         return "".join(str(d) for d in w.digits)
-    body = ",".join(str(d) for d in w.digits)
-    return f"({body})@{w.base}"
+    body = ",".join(map(format_decimal, w.digits))
+    return f"({body})@{format_decimal(w.base)}"
 

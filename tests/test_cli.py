@@ -476,6 +476,10 @@ ERROR_CONTRACT = {
         "checkpoint error: <tmp>/other.jsonl: checkpoint is for triple"
         " Triple(q=3, n=2, l=1), expected Triple(q=2, n=3, l=1)\n",
     ),
+    "search-checkpoint-is-a-directory": (
+        "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 9 --checkpoint <tmp>", 1,
+        "error: [Errno 21] Is a directory: '<tmp>'\n",
+    ),
     "generate-no-family": (
         "generate --triple 2,5,1 --count 1", 2,
         "error: no infinite family exists for triple 2,5,1\n",
@@ -553,6 +557,16 @@ def test_error_contract(capsys, tmp_path, monkeypatch, case):
     captured = capsys.readouterr()
     assert (got, captured.err) == (code, err.replace("<tmp>", str(tmp_path)))
     assert captured.out == "" or case == "verify-failing-row"
+
+
+def test_checkpoint_in_a_missing_directory_is_an_operation_failure(capsys, tmp_path):
+    # the temporary file of the first write is refused; its name is random
+    path = tmp_path / "missing" / "cp.jsonl"
+    argv = "search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 9 --checkpoint".split() + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: [Errno 2] No such file or directory: '{path.parent}/")
+    assert err.endswith(".tmp'\n") and err.count("\n") == 1
 
 
 def test_bugs_leave_main_as_themselves(monkeypatch):

@@ -56,7 +56,7 @@ def test_load_by_name_with_suffix():
 
 def test_all_bundled_pass():
     for name in builtin_corpora():
-        report = verify_corpus(load_corpus(name), pattern_n_max=8)
+        report = verify_corpus(load_corpus(name))
         assert report.ok, format_report(report)
 
 
@@ -194,15 +194,8 @@ def test_zeckendorf_corpus_checks_square(tmp_path):
 def test_pattern_corpus_roundtrip(tmp_path):
     p = tmp_path / "pat.csv"
     p.write_text('b,row,y_pattern,w_pattern\n7,1,"(3:2n+2)4","(15:n+1)2"\n')
-    report = verify_corpus(load_corpus(p), pattern_n_max=3)
+    report = verify_corpus(load_corpus(p))
     assert report.ok
-
-
-def test_pattern_n_max_must_be_nonnegative():
-    corpus = load_corpus("bijective_families")
-    with pytest.raises(ValueError, match="pattern_n_max must be >= 0"):
-        verify_corpus(corpus, pattern_n_max=-1)
-    assert verify_corpus(corpus, pattern_n_max=0).ok
 
 
 def test_pattern_corpus_reports_failing_rows(tmp_path):
@@ -215,7 +208,7 @@ def test_pattern_corpus_reports_failing_rows(tmp_path):
         '7,4,"(3:2n+2)4","(15:n)"\n'  # w is the empty word at n = 0
         '7,5,"(3:2n+2)4","(15:n+1)2"\n'  # the rows after a failing one are still checked
     )
-    report = verify_corpus(load_corpus(p), pattern_n_max=3)
+    report = verify_corpus(load_corpus(p))
     assert [r.failure for r in report.results] == [
         None,
         "square-digits at n=0",
@@ -227,7 +220,7 @@ def test_pattern_corpus_reports_failing_rows(tmp_path):
 
 def test_pattern_proof_degrees_are_pinned():
     # E = 2 max(deg y, deg w) for each bundled row, in table order; every
-    # row is checked at n = 0..max(E, pattern_n_max)
+    # row is checked at n = 0..E
     rows = load_corpus("bijective_families").rows
     degrees = [_proof_degree(parse_pattern(r.y_pattern), parse_pattern(r.w_pattern)) for r in rows]
     assert degrees == [12, 40, 20, 20, 12, 28, 28, 4, 4, 40, 40, 40]
@@ -236,10 +229,10 @@ def test_pattern_proof_degrees_are_pinned():
 
 def test_changed_block_digit_fails_at_pattern_n_max_0(tmp_path):
     # the block (221112:n) is absent at n = 0, so a change to it shows from
-    # n = 1 on: the check goes past pattern_n_max to the row's E = 12
+    # n = 1 on, inside the row's E = 12
     p = tmp_path / "pat.csv"
     p.write_text('b,row,y_pattern,w_pattern\n2,1,"(12:3n+3)212","(221111:n)221121112"\n')
-    report = verify_corpus(load_corpus(p), pattern_n_max=0)
+    report = verify_corpus(load_corpus(p))
     assert [r.failure for r in report.results] == ["square-digits at n=1"]
 
 
@@ -249,7 +242,7 @@ def test_hand_built_row_with_digit_outside_base_fails():
         PatternRow(7, 1, "(3:2n+2)8", "(15:n+1)2"),
         PatternRow(7, 2, "(3:2n+2)4", "(15:n+1)2(0:n)"),
     )
-    report = verify_corpus(TableCorpus("hand", "bijective-patterns", rows), pattern_n_max=0)
+    report = verify_corpus(TableCorpus("hand", "bijective-patterns", rows))
     assert [r.failure for r in report.results] == [
         "n=0: bijective digit out of range",
         "n=1: bijective digit out of range",

@@ -1,6 +1,7 @@
 """Family generators: first members against the golden tables, and
 structural invariants along each orbit."""
 
+import dataclasses
 import types
 from itertools import islice
 
@@ -9,6 +10,7 @@ import pytest
 from repwords import families
 from repwords.arith import QuadInt
 from repwords.corpus import (
+    TableCorpus,
     _check_pattern_row,
     _pattern_value,
     format_report,
@@ -288,8 +290,8 @@ def test_gen_bijective_table_deep():
         for n in (0, 1, 7, 20):
             y, w = _bijective_member(row, n)
             assert to_bijective(y * y, row.base) == repeat_word(w, 2)
-    # the value check proves every bundled family for all n, whatever pattern_n_max
-    report = verify_corpus(load_corpus("bijective_families"), pattern_n_max=20)
+    # the value check proves every bundled family for all n
+    report = verify_corpus(load_corpus("bijective_families"))
     assert report.ok, format_report(report)
 
 
@@ -303,7 +305,39 @@ def test_pattern_value_check_agrees_with_digit_oracle():
             assert (value, scale) == (word_value(w), b ** len(w))
             for z in (y, y + 1):  # a member, and a square that spells no w w
                 assert (z * z == value * (scale + 1)) == (to_bijective(z * z, b) == repeat_word(w, 2))
-        assert _check_pattern_row(row, 60) is None
+        assert _check_pattern_row(row) is None
+
+
+def _block_digit_changes(row):
+    # every row that differs from row in one block digit, kept within 1..b;
+    # a lone digit is a block of one
+    for field in ("y_pattern", "w_pattern"):
+        text, state = getattr(row, field), ")"
+        for i, ch in enumerate(text):
+            if ch in "(:)":
+                state = ch
+            elif state != ":":  # not in a count kn+m
+                for d in range(1, row.base + 1):
+                    if d != int(ch):
+                        yield dataclasses.replace(row, **{field: text[:i] + str(d) + text[i + 1:]})
+
+
+def test_changed_block_digits_fail_as_the_digit_oracle_does():
+    # verify_corpus, which checks n = 0..E by value, fails a row exactly
+    # when the digit oracle finds a mismatch at some n <= 60, and names the
+    # same first n; each bundled row, unchanged, is the passing case
+    cases = 0
+    for row in _bijective_rows().values():
+        rows = (row, *_block_digit_changes(row))
+        report = verify_corpus(TableCorpus("changed", "bijective-patterns", rows))
+        for changed, result in zip(rows, report.results):
+            members = map(_bijective_member, [changed] * 61, range(61))
+            spelled = (to_bijective(y * y, row.base) == repeat_word(w, 2) for y, w in members)
+            bad = next((n for n, ok in enumerate(spelled) if not ok), None)
+            expect = None if bad is None else f"square-digits at n={bad}"
+            assert result.failure == expect, (changed, result)
+        cases += len(rows) - 1
+    assert cases == 992
 
 
 def test_gen_fibonacci_family():

@@ -322,7 +322,7 @@ def test_search_workers_write_identical_checkpoints(tmp_path, monkeypatch):
 
 
 def _pools_started(monkeypatch):
-    """Record the arguments of every helper pool search_range starts."""
+    """Record the arguments of every pool search_range starts."""
     started = []
     real = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(
@@ -337,7 +337,7 @@ def test_helpers_start_only_when_the_scan_left_repays_them(tmp_path, monkeypatch
     search_range(t, 2, 300, str(one), workers=1)
 
     def refuse(*a):
-        raise AssertionError("a short gap started a helper pool")
+        raise AssertionError("a short gap started a pool")
 
     with monkeypatch.context() as m:
         m.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
@@ -348,7 +348,7 @@ def test_helpers_start_only_when_the_scan_left_repays_them(tmp_path, monkeypatch
     started = _pools_started(monkeypatch)
     monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     search_range(t, 2, 300, str(two), workers=2)
-    assert started == [(1,)]
+    assert started == [(2,)]
     assert two.read_bytes() == one.read_bytes()
 
 
@@ -372,11 +372,12 @@ def test_first_chunk_does_not_set_the_pace(monkeypatch):
 
 
 def test_caller_error_shuts_the_helpers_down(monkeypatch):
-    # the pool starts after the caller's second chunk, the first it times;
-    # its third, [40, 58], raises while the helper is still scanning
-    # [116, 150] from the back; the pool is shut down before the error
-    # leaves search_range.  The plant is in open_defects, which every
-    # chunk runs
+    # the pool starts after this process's second chunk, the first it
+    # times, and scans every chunk left; the first of them, [40, 58],
+    # raises while later ones, from [116, 134] on, still scan slowly; the
+    # chunks not yet started are cancelled and the pool is shut down before
+    # the error leaves search_range.  The plant is in open_defects, which
+    # every chunk runs, and which the forked pool inherits
     real = search.open_defects
 
     def defects(lo, hi, *args, **kw):
@@ -391,8 +392,67 @@ def test_caller_error_shuts_the_helpers_down(monkeypatch):
     started = _pools_started(monkeypatch)
     with pytest.raises(search.InvariantError, match="planted"):
         search_range(Triple(2, 3, 1), 2, 150, workers=2)
-    assert started == [(1,)]
+    assert started == [(2,)]
     assert multiprocessing.active_children() == []
+
+
+def test_write_error_cancels_the_chunks_left(tmp_path, monkeypatch):
+    # the pool scans 18 chunks of 8 bases, [18, 25] to [154, 161], at 0.2 s
+    # each; appending the first of them fails, so the chunks not yet
+    # started are cancelled, not scanned, before the error leaves
+    real = search.open_defects
+    real_line = search._range_line
+
+    def defects(lo, hi, *args, **kw):
+        if lo >= 18:
+            time.sleep(0.2)
+            (tmp_path / f"{lo}.scanned").touch()
+        return real(lo, hi, *args, **kw)
+
+    def range_line(lo, hi):
+        if lo >= 18:
+            raise OSError("disk full")
+        return real_line(lo, hi)
+
+    monkeypatch.setattr(search, "open_defects", defects)
+    monkeypatch.setattr(search, "_range_line", range_line)
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    monkeypatch.setattr(search, "_FLUSH_EVERY", 8)
+    started = _pools_started(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        search_range(Triple(2, 3, 1), 2, 161, str(tmp_path / "cp.jsonl"), workers=2)
+    assert started == [(2,)]
+    assert multiprocessing.active_children() == []
+    assert 1 <= len(list(tmp_path.glob("*.scanned"))) < 9
+
+
+def test_pool_chunks_are_appended_in_order(tmp_path, monkeypatch):
+    # the pool scans chunks in parallel, but their range lines follow the
+    # chunk order, as in a 1-worker run
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    monkeypatch.setattr(search, "_FLUSH_EVERY", 16)
+    monkeypatch.setattr(search, "write_checkpoint", lambda *a: None)
+    started = _pools_started(monkeypatch)
+    path = tmp_path / "cp.jsonl"
+    path.write_text('{"triple": ["2", "3", "1"]}\n')
+    search_range(Triple(2, 3, 1), 2, 150, str(path), workers=2)
+    assert started == [(2,)]
+    lines = map(json.loads, path.read_text().splitlines())
+    starts = [int(obj["range"][0]) for obj in lines if "range" in obj]
+    assert starts == [2, 18, 34, 50, 66, 82, 98, 114, 130, 146]
+
+
+def test_one_chunk_left_starts_no_pool(monkeypatch):
+    # b 2..4 with two workers is three chunks of one base; after the
+    # second, the first one timed, one chunk is left, which a pool cannot
+    # share, so it is scanned here whatever the pace says
+    def refuse(*a):
+        raise AssertionError("a pool started for one chunk")
+
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    t = Triple(2, 2, 1)
+    assert search_range(t, 2, 4, workers=2) == search_range(t, 2, 4)
 
 
 def test_short_search_loads_no_pool_module():
@@ -570,9 +630,9 @@ def test_checkpoint_torn_tail_resumes(tmp_path, monkeypatch):
 
 
 def test_checkpoint_cut_between_out_of_order_chunks_resumes(tmp_path, monkeypatch):
-    # with two workers a helper scans chunks from the back, so their range
-    # lines are appended out of order; a kill that leaves the file cut at
-    # any line boundary resumes to the bytes of an uninterrupted 1-worker run
+    # earlier versions appended chunks out of order, a helper's from the
+    # back between the caller's from the front; such a file, cut at any line
+    # boundary, resumes to the bytes of an uninterrupted 1-worker run
     monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     t = Triple(2, 3, 1)
     path = tmp_path / "cp.jsonl"
@@ -582,10 +642,17 @@ def test_checkpoint_cut_between_out_of_order_chunks_resumes(tmp_path, monkeypatc
         m.setattr(search, "_FLUSH_EVERY", 16)
         with pytest.raises(SystemExit):
             search_range(t, 2, 150, str(path), workers=2)
-    appended = path.read_bytes()
-    lines = appended.splitlines(keepends=True)
+    head, *lines = path.read_bytes().splitlines(keepends=True)
+    blocks = [[]]  # each chunk's records, then its range line
+    for line in lines:
+        blocks[-1].append(line)
+        if b'"range"' in line:
+            blocks.append([])
+    assert blocks.pop() == [] and len(blocks) == 10
+    blocks = [blocks[i] for i in (0, 9, 1, 8, 2, 7, 3, 6, 4, 5)]
+    lines = [head] + [line for block in blocks for line in block]
     starts = [int(json.loads(line)["range"][0]) for line in lines if b'"range"' in line]
-    assert len(starts) == 10 and starts != sorted(starts)
+    assert starts != sorted(starts)
 
     whole_path = tmp_path / "whole.jsonl"
     whole = search_range(t, 2, 150, str(whole_path), workers=1)
@@ -648,9 +715,9 @@ def test_invariant_checks_survive_optimize():
                 print(e)
             else:
                 sys.exit(f"{solve.__name__} returned a corrupted record")
-        # with two workers the caller scans the first chunk, [2, 20], and a
-        # forked helper the last, [135, 150]; each holds a solution, and
-        # each refuses it when only its own chunk's records are corrupted
+        # with two workers this process scans the first chunk, [2, 20], and
+        # the pool the last, [135, 150]; each holds a solution, and each
+        # refuses it when only its own chunk's records are corrupted
         bad = search._record
         for lo, hi in ((2, 20), (135, 150)):
             search._record = lambda t, b, *a, lo=lo, hi=hi: (

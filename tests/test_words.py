@@ -143,6 +143,10 @@ def test_render_parse_roundtrip():
     z = to_zeckendorf(100)
     assert render_word(z) == "1000010100"
 
+    # a digit and a base past the 4,300-digit limit of str(int)
+    big = Word(System.CANONICAL, 10**4400, (10**4399,))
+    assert render_word(big) == "(1" + "0" * 4399 + ")@1" + "0" * 4400
+
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=2, max_value=64))
 def test_canonical_roundtrip(x, b):
