@@ -64,9 +64,6 @@ class QuadInt:
     def norm(self) -> int:
         return self.a * self.a - self.d * self.b * self.b
 
-    def __neg__(self) -> QuadInt:
-        return QuadInt(-self.a, -self.b, self.d)
-
     def __mul__(self, other: QuadInt) -> QuadInt:
         if not isinstance(other, QuadInt):
             return NotImplemented

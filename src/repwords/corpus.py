@@ -33,7 +33,6 @@ from pathlib import Path
 
 from .search import SolutionRecord, check_solution
 from .words import (
-    MalformedWordError,
     System,
     Word,
     bijective_word,
@@ -41,7 +40,7 @@ from .words import (
     format_decimal,
     parse_decimal,
     parse_decimals,
-    repeat_word,
+    split_repetition,
     to_zeckendorf,
     word_value,
     zeckendorf_word,
@@ -187,7 +186,7 @@ def _parse_rows(kind: str, width: int, numbered, name: str):
                 rows.append(row)
         except MalformedCorpusError:
             raise
-        except (ValueError, MalformedWordError) as exc:
+        except ValueError as exc:
             raise MalformedCorpusError(f"{where}: {exc}") from exc
     return tuple(rows)
 
@@ -234,7 +233,7 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
 def _check_zeckendorf_row(y: int, w: Word) -> str | None:
     if y < 2:
         return "y-range"
-    if to_zeckendorf(y * y) != repeat_word(w, 2):
+    if split_repetition(to_zeckendorf(y * y), 2) != w:
         return "square-digits"
     return None
 

@@ -43,7 +43,6 @@ from .words import (
     canonical_digits,
     fibonacci,
     format_decimal,
-    parse_decimal,
     parse_decimals,
     split_repetition,
     to_canonical,
@@ -185,20 +184,12 @@ class Checkpoint:
 
     def gaps(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Subranges of [lo, hi] not yet covered by completed ranges."""
-        out = []
-        cur = lo
-        for a, b in _merged(self.completed):
-            if b < cur:
-                continue
-            if a > hi:
-                break
-            if a > cur:
+        out, cur = [], lo
+        # the empty range just past hi closes the last gap
+        for a, b in _merged(self.completed) + ((hi + 1, hi),):
+            if cur <= min(a - 1, hi):
                 out.append((cur, min(a - 1, hi)))
             cur = max(cur, b + 1)
-            if cur > hi:
-                break
-        if cur <= hi:
-            out.append((cur, hi))
         return out
 
 
@@ -213,10 +204,11 @@ def _merged(ranges) -> tuple[tuple[int, int], ...]:
     return tuple((lo, hi) for lo, hi in merged)
 
 
-def _int(s) -> int:
-    if isinstance(s, str):
-        return parse_decimal(s)
-    raise CheckpointError(f"expected decimal string, got {s!r}")
+def _decimals(val, count: int) -> list[int]:
+    """The ints of val, a JSON list of exactly count decimal strings."""
+    if isinstance(val, list) and len(val) == count and all(isinstance(s, str) for s in val):
+        return parse_decimals(val)
+    raise CheckpointError(f"expected {count} decimal strings, got {val!r:.64}")
 
 
 # Lines are built by hand, byte for byte what json.dumps gives: every value
@@ -239,7 +231,10 @@ def _unresolved_line(b: int) -> str:
     return f'{{"unresolved": "{format_decimal(b)}"}}'
 
 
-def _solution_from_json(obj: dict) -> SolutionRecord:
+def _solution_from_json(obj) -> SolutionRecord:
+    if not (isinstance(obj, dict) and len(obj) == 7):
+        raise CheckpointError(f"expected the keys q n l b y c w, got {obj!r:.64}")
+    # seven keys, each indexed: one missing raises KeyError
     cells, w = [obj[k] for k in "qnlbyc"], obj["w"]
     if not (isinstance(w, list) and all(isinstance(s, str) for s in cells + w)):
         raise CheckpointError(f"expected decimal strings, got {obj!r:.64}")
@@ -247,7 +242,8 @@ def _solution_from_json(obj: dict) -> SolutionRecord:
     return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(digits)))
 
 
-def checkpoint_lines(cp: Checkpoint) -> list[str]:
+def write_checkpoint(path: str, cp: Checkpoint) -> None:
+    """Atomic rewrite: never leaves a partial file behind."""
     cp = cp.normalized()
     t = cp.triple
     q, n, l = map(format_decimal, (t.q, t.n, t.l))
@@ -255,16 +251,11 @@ def checkpoint_lines(cp: Checkpoint) -> list[str]:
     lines += [_range_line(lo, hi) for lo, hi in cp.completed]
     lines += [_solution_line(rec) for rec in cp.solutions]
     lines += [_unresolved_line(b) for b in cp.unresolved]
-    return lines
-
-
-def write_checkpoint(path: str, cp: Checkpoint) -> None:
-    """Atomic rewrite: never leaves a partial file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(checkpoint_lines(cp)) + "\n")
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -292,12 +283,12 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                     raise CheckpointError("each line must be a one-key object")
                 key, val = next(iter(obj.items()))
                 if key == "triple":
-                    got = Triple(_int(val[0]), _int(val[1]), _int(val[2]))
+                    got = Triple(*_decimals(val, 3))
                     if triple is not None and got != triple:
                         raise CheckpointError("conflicting triple lines")
                     triple = got
                 elif key == "range":
-                    lo, hi = _int(val[0]), _int(val[1])
+                    lo, hi = _decimals(val, 2)
                     if lo > hi:
                         raise CheckpointError(f"empty range [{lo},{hi}]")
                     completed.append((lo, hi))
@@ -308,16 +299,12 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                         raise CheckpointError(f"stored solution fails: {bad}")
                     solutions.append(rec)
                 elif key == "unresolved":
-                    unresolved.append(_int(val))
+                    unresolved += _decimals([val], 1)
                 else:
                     raise CheckpointError(f"unknown record kind {key!r}")
-            except CheckpointError as e:
-                raise CheckpointError(f"{path}:{lineno}: {e}") from None
-            except json.JSONDecodeError as e:
-                if not raw.endswith("\n"):
+            except (CheckpointError, ValueError, KeyError) as e:
+                if isinstance(e, json.JSONDecodeError) and not raw.endswith("\n"):
                     break  # unterminated last line: an append cut short
-                raise CheckpointError(f"{path}:{lineno}: {e}") from None
-            except (ValueError, KeyError, IndexError, TypeError) as e:
                 raise CheckpointError(f"{path}:{lineno}: {e}") from None
     if triple is None:
         raise CheckpointError(f"{path}: missing triple line")

@@ -186,9 +186,10 @@ def test_layouts_check_their_column_count(tmp_path, header, row, expect):
 
 def test_zeckendorf_corpus_checks_square(tmp_path):
     p = tmp_path / "z.csv"
-    p.write_text("y,w\n4,100\n5,100\n1,1\n")
+    p.write_text("y,w\n4,100\n5,100\n1,1\n3,\n")  # the last word is empty
     report = verify_corpus(load_corpus(p))
-    assert [r.failure for r in report.results] == [None, "square-digits", "y-range"]
+    failures = [r.failure for r in report.results]
+    assert failures == [None, "square-digits", "y-range", "square-digits"]
 
 
 def test_pattern_corpus_roundtrip(tmp_path):

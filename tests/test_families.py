@@ -98,7 +98,7 @@ def test_norm_family_stream_stays_on_its_branch():
         next(stream)
     # a seed off the positive branch is refused at its first member
     with pytest.raises(FamilyError, match="left the positive"):
-        next(_norm_family_stream(NormFamily(-u, u, 2)))
+        next(_norm_family_stream(NormFamily(QuadInt(-1, -1, 2), u, 2)))
 
 
 # golden first members, straight from the solution tables

@@ -16,6 +16,7 @@ from collections import Counter, OrderedDict
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repwords
 from repwords import factoring, search
@@ -501,6 +502,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
             triple + json.dumps({"solution": {**_CELLS_18, "y": 49}}) + "\n",
             ":2: expected decimal strings, got {",
         ),
+        # a line of any other shape than the four the writer makes is refused
+        (triple + '{"range": "25"}\n', ":2: expected 2 decimal strings, got '25'"),
+        (triple + '{"range": ["2", "5", "9"]}\n', ":2: expected 2 decimal strings, got ['2'"),
+        ('{"triple": "231"}\n', ":1: expected 3 decimal strings, got '231'"),
+        ('{"triple": ["2", "3", "1", "7"]}\n', ":1: expected 3 decimal strings, got ['2'"),
+        (triple + '{"unresolved": ["5"]}\n', ":2: expected 1 decimal strings, got [['5']]"),
+        (
+            triple + json.dumps({"solution": {**_CELLS_18, "x": "1"}}) + "\n",
+            ":2: expected the keys q n l b y c w, got {",
+        ),
+        (
+            triple + json.dumps({"solution": dict(list(_CELLS_18.items())[:6])}) + "\n",
+            ":2: expected the keys q n l b y c w, got {",
+        ),
+        (
+            triple + json.dumps({"solution": {**_CELLS_18, "w": "7"}}) + "\n",
+            ":2: expected decimal strings, got {",
+        ),
+        (triple + json.dumps({"solution": ["2", "3"]}) + "\n", ":2: expected the keys q n l"),
     ]:
         path.write_text(text)
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path) + error)}"):
@@ -811,6 +831,26 @@ def test_checkpoint_gaps_of_unsorted_ranges():
     cp = Checkpoint(Triple(2, 3, 1), ((30, 40), (5, 10), (11, 20), (2, 3)), (), ())
     assert cp.gaps(1, 45) == [(1, 1), (4, 4), (21, 29), (41, 45)]
     assert cp.gaps(12, 18) == []
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(1, 60), st.integers(0, 10)), max_size=8),
+    st.integers(1, 60),
+    st.integers(0, 60),
+)
+def test_checkpoint_gaps_are_the_complement(ranges, lo, width):
+    completed = tuple((a, min(a + w, 60)) for a, w in ranges)
+    hi = lo + width
+    left = sorted(set(range(lo, hi + 1)).difference(*(range(a, b + 1) for a, b in completed)))
+    runs = []
+    for x in left:
+        if runs and runs[-1][1] == x - 1:
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    cp = Checkpoint(Triple(2, 3, 1), completed, (), ())
+    assert cp.gaps(lo, hi) == [tuple(r) for r in runs]
 
 
 def test_unresolved_base_on_tiny_budget():
