@@ -40,7 +40,6 @@ from .triples import Triple
 from .words import (
     System,
     Word,
-    canonical_digits,
     fibonacci,
     format_decimal,
     parse_decimals,
@@ -78,8 +77,25 @@ class SolutionRecord:
         return Triple(self.q, self.n, self.l)
 
 
+def _repunit(top: int, n: int) -> int:
+    """1 + top + ... + top**(n-1) in O(log n) products, over n's bits from
+    the top: R(2k) = R(k) * (1 + top**k) and R(2k + 1) = R(2k) * top + 1."""
+    r, p = 1, top  # R(k) and top**k, k the bits of n read so far
+    for shift in reversed(range(n.bit_length() - 1)):
+        odd = n >> shift & 1
+        r = r * (1 + p) * top + 1 if odd else r * (1 + p)
+        if shift:
+            p = p * p * top if odd else p * p
+    return r
+
+
 def check_solution(rec: SolutionRecord) -> str | None:
-    """Name of the first failing invariant, or None when all hold."""
+    """Name of the first failing invariant, or None when all hold.
+
+    The equation is checked as y**q = c * R, R = 1 + b**l + ... + b**((n-1)l), and
+    the digit string by range: a length-l word of value c in [b**(l-1), b**l) with
+    digits in [0, b) is c's canonical word, and then y**q = c * R is it written n times.
+    """
     if rec.q < 2 or rec.n < 2 or rec.l < 1:
         return "triple"
     if rec.b < 2:
@@ -94,18 +110,23 @@ def check_solution(rec: SolutionRecord) -> str | None:
         return "word-shape"
     if word_value(rec.w) != rec.c:
         return "word-value"
-    if not rec.b ** (rec.l - 1) <= rec.c < rec.b**rec.l:
+    low = rec.b ** (rec.l - 1)
+    top = low * rec.b
+    if not low <= rec.c < top:
         return "c-range"
-    v = rec.y**rec.q
-    if v * (rec.b**rec.l - 1) != rec.c * (rec.b ** (rec.n * rec.l) - 1):
+    # 2**(q(ly-1)) <= y**q < 2**(q ly), 2**(lc-1+(n-1)(lt-1)) <= c * R < 2**(lc+(n-1)lt+1)
+    ly, lc, lt = rec.y.bit_length(), rec.c.bit_length(), top.bit_length()
+    if rec.q * (ly - 1) > lc + (rec.n - 1) * lt or rec.q * ly < lc + (rec.n - 1) * (lt - 1):
         return "power-equation"
-    if canonical_digits(v, rec.b) != rec.w.digits * rec.n:
+    if rec.y**rec.q != rec.c * _repunit(top, rec.n):
+        return "power-equation"
+    if not all(0 <= d < rec.b for d in rec.w.digits):
         return "digit-string"
     return None
 
 
 def verify_solution(rec: SolutionRecord) -> bool:
-    """Recompute every invariant from scratch, digits included."""
+    """Whether check_solution finds every invariant holding."""
     return check_solution(rec) is None
 
 
@@ -344,12 +365,12 @@ def _scan_chunk(
         if d is None:
             unresolved.append(b)
             continue
+        c_lo, c_hi = b ** (l - 1), b**l
         # the quotient itself, not the factorization's product: a wrong
         # factorization must fail here
-        s, exact = iroot(d * ((b ** (n * l) - 1) // (b**l - 1)), q)
+        s, exact = iroot(d * _repunit(c_hi, n), q)
         if not exact:
             raise InvariantError(f"defect times quotient is no {q}-th power at base {b}")
-        c_lo, c_hi = b ** (l - 1), b**l
         k = ceil_root(-(-c_lo // d), q)
         while k**q * d < c_hi:
             sols.append(_checked(_record(t, b, k * s, k**q * d), "defect scan"))

@@ -187,18 +187,13 @@ def _horner(digits: tuple[int, ...], base: int) -> int:
     return v
 
 
-def canonical_digits(x: int, base: int) -> tuple[int, ...]:
-    """Base-b digits of x, most significant first, without building a Word."""
+def to_canonical(x: int, base: int) -> Word:
+    """Base-b digit word of x, most significant first; x = 0 gives ()."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if x < 0:
         raise ValueError("x must be >= 0")
-    return tuple(reversed(_digits(x, base)))
-
-
-def to_canonical(x: int, base: int) -> Word:
-    """Base-b digit word of x, most significant first; x = 0 gives ()."""
-    return Word(System.CANONICAL, base, canonical_digits(x, base))
+    return Word(System.CANONICAL, base, tuple(reversed(_digits(x, base))))
 
 
 def to_bijective(x: int, base: int) -> Word:

@@ -3,6 +3,7 @@ Zeckendorf square scans."""
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -28,7 +29,8 @@ from repwords.factoring import (
     factor,
     factor_quotient,
 )
-from repwords.families import gen_232
+from repwords.corpus import builtin_corpora, load_corpus
+from repwords.families import _SPORADIC_FAMILIES, gen_22_by_length, gen_232, gen_323, gen_n21
 from repwords.search import (
     Checkpoint,
     CheckpointError,
@@ -45,12 +47,14 @@ from repwords.search import (
 )
 from repwords.triples import Triple
 from repwords.words import (
+    System,
     canonical_word,
     fibonacci,
     format_decimal,
     split_repetition,
     to_canonical,
     to_zeckendorf,
+    word_value,
 )
 
 
@@ -94,6 +98,166 @@ def test_check_solution_invariant_names():
     carried = canonical_word(19, (9, 13, 4))
     object.__setattr__(carried, "digits", (9, 12, 4 + 19))
     assert check_solution(dataclasses.replace(real, w=carried)) == "digit-string"
+
+
+def _literal_check(rec):
+    # the literal check, oracle for check_solution: the equation times
+    # b**l - 1, and y**q's digits rebuilt in full
+    if rec.q < 2 or rec.n < 2 or rec.l < 1:
+        return "triple"
+    if rec.b < 2:
+        return "base"
+    if rec.y < 2:
+        return "y-range"
+    if rec.w.system is not System.CANONICAL or rec.w.base != rec.b or len(rec.w) != rec.l:
+        return "word-shape"
+    if word_value(rec.w) != rec.c:
+        return "word-value"
+    if not rec.b ** (rec.l - 1) <= rec.c < rec.b**rec.l:
+        return "c-range"
+    v = rec.y**rec.q
+    if v * (rec.b**rec.l - 1) != rec.c * (rec.b ** (rec.n * rec.l) - 1):
+        return "power-equation"
+    if to_canonical(v, rec.b).digits != rec.w.digits * rec.n:
+        return "digit-string"
+    return None
+
+
+def _with_digits(r, digits):
+    # a record whose word is changed after __post_init__, past its checks
+    w = canonical_word(r.w.base, r.w.digits)
+    object.__setattr__(w, "digits", tuple(digits))
+    return dataclasses.replace(r, w=w)
+
+
+def _mutants(r):
+    for field in "qnlbyc":
+        for step in (-1, 1):
+            yield dataclasses.replace(r, **{field: getattr(r, field) + step})
+    yield dataclasses.replace(r, w=canonical_word(r.b + 1, r.w.digits))
+    d, b = list(r.w.digits), r.b
+    yield _with_digits(r, d[:-1] + [-1])
+    if len(d) > 1:
+        # carries that keep the word's value: a digit >= b, a negative
+        # digit, and a leading zero
+        i = max(j for j in range(1, len(d)) if d[j - 1] > 0)
+        yield _with_digits(r, d[: i - 1] + [d[i - 1] - 1, d[i] + b] + d[i + 1 :])
+        yield _with_digits(r, d[:-2] + [d[-2] + 1, d[-1] - b])
+        yield _with_digits(r, [0, d[1] + d[0] * b] + d[2:])
+    else:
+        yield _with_digits(r, [d[0] + b])
+    # a leading zero with c following the word's value: c falls below b**(l-1)
+    zero_led = _with_digits(r, [0] + d[1:])
+    yield dataclasses.replace(zero_led, c=word_value(zero_led.w))
+
+
+def _records_to_check():
+    for t, hi in [((2, 2, 3), 200), ((2, 3, 1), 400), ((3, 3, 1), 400), ((2, 4, 1), 400),
+                  ((4, 2, 3), 120)]:
+        yield from search_range(Triple(*t), 2, hi).solutions
+    for q in (2, 3, 4, 5):
+        yield from gen_n21(q, 8)
+    for l in range(1, 7):
+        yield from gen_22_by_length(l, 8)
+    for generate in _SPORADIC_FAMILIES.values():
+        yield from generate(12)
+    # multi-thousand-digit members: (2,3,2) member 46, (3,2,3) member 80
+    yield gen_232(46)[-1]
+    yield gen_323(80)[-1]
+    for name in builtin_corpora():
+        corpus = load_corpus(name)
+        if corpus.kind == "solutions":
+            yield from corpus.rows
+
+
+def test_block_form_check_matches_the_literal_one():
+    seen, names = set(), Counter()
+    for r in _records_to_check():
+        assert check_solution(r) is None, r
+        seen.add((r.n >= 3, r.l >= 2))
+        for m in _mutants(r):
+            want = _literal_check(m)
+            assert check_solution(m) == want, m
+            names[want] += 1
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert set(names) == {
+        "triple", "base", "y-range", "word-shape", "word-value", "c-range",
+        "power-equation", "digit-string",
+    }
+
+
+def test_repunit_is_the_quotient():
+    for top in (2, 3, 10, 17, 2**64 + 1):
+        for n in range(1, 70):
+            assert search._repunit(top, n) == (top**n - 1) // (top - 1)
+
+
+@functools.cache
+def _small_records():
+    return [
+        r for t in [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 4, 1), (4, 2, 3), (3, 3, 1)]
+        for r in search_range(Triple(*t), 2, 150).solutions
+    ]
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.data())
+def test_block_form_check_matches_on_random_fields(data):
+    # small records with random fields nudged and random digits carried
+    # (value kept) or changed (value followed by c or not)
+    r = data.draw(st.sampled_from(_small_records()))
+    nudge = st.sampled_from([0, 0, 0, -1, 1])
+    r = dataclasses.replace(r, **{f: getattr(r, f) + data.draw(nudge) for f in "qnlbyc"})
+    d = list(r.w.digits)
+    i = data.draw(st.integers(0, len(d) - 1))
+    k = data.draw(st.integers(-2, 2))
+    if i and data.draw(st.booleans()):
+        d[i - 1 : i + 1] = [d[i - 1] - k, d[i] + k * r.w.base]
+    else:
+        d[i] += k
+    m = _with_digits(r, d)
+    if data.draw(st.booleans()):
+        m = dataclasses.replace(m, c=word_value(m.w))
+    assert check_solution(m) == _literal_check(m)
+
+
+@pytest.mark.parametrize("q, n", [(2, 10**13), (10**13, 2)])
+def test_huge_q_or_n_in_a_checkpoint_is_refused_at_once(tmp_path, q, n):
+    # y**q against c * R by bit lengths first: neither side is built, so
+    # a 13-digit q or n costs no ~10**13-bit integer.  Run capped at 1 GiB
+    # of address space, so a regression fails instead of exhausting memory
+    path = tmp_path / "cp.jsonl"
+    cells = {"q": str(q), "n": str(n), "l": "1", "b": "2", "y": "2", "c": "1", "w": ["1"]}
+    lines = [{"triple": [str(q), str(n), "1"]}, {"solution": cells}]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    script = textwrap.dedent(
+        """
+        import resource, sys, time
+        from repwords.cli import main
+        from repwords.search import CheckpointError, load_checkpoint
+
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        start = time.perf_counter()
+        try:
+            load_checkpoint(sys.argv[1])
+        except CheckpointError as e:
+            print(e)
+        code = main(["search", "--q", sys.argv[2], "--n", sys.argv[3], "--l", "1",
+                     "--b-lo", "2", "--b-hi", "9", "--checkpoint", sys.argv[1]])
+        print(code, time.perf_counter() - start)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repwords.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(q), str(n)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    refused, ran = proc.stdout.splitlines()
+    assert refused == f"{path}:2: stored solution fails: power-equation"
+    assert f"{path}:2: stored solution fails: power-equation" in proc.stderr
+    code, seconds = ran.split()
+    assert code == "3" and float(seconds) < 1.0
 
 
 def test_solutions_for_base_known_rows():
