@@ -4,8 +4,8 @@ Exit codes are a stable contract: 0 success, 1 verification or
 operation failure (the factoring budget runs out, or an OSError such as
 an unusable --checkpoint path), 2 usage error, 3 checkpoint error.  The
 verbs only raise; ``main`` alone maps their errors to exit codes.
-InvariantError and FamilyError are bugs, not usage errors: they
-propagate as a traceback (Python's exit 1).
+InvariantError, FamilyError included, is a bug, not a usage error: it
+propagates as a traceback (Python's exit 1).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .corpus import (
     write_rows,
 )
 from .factoring import FactorBudgetError, factor_quotient
-from .families import FamilyError, family, gen_bijective_square, gen_fibonacci_family, is_admissible
+from .families import family, gen_bijective_square, gen_fibonacci_family, is_admissible
 from .search import CheckpointError, search_range
 from .triples import F_value, Triple
 from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
@@ -207,8 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     except (FactorBudgetError, OSError) as exc:  # an operation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FamilyError:
-        raise  # a ValueError, but a generator broke its own invariant: a bug
     except ValueError as exc:  # a bad argument, or a MalformedCorpusError
         print(f"error: {exc}", file=sys.stderr)
         return 2

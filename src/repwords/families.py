@@ -9,9 +9,9 @@ NormFamily (the orbit of a seed of a real quadratic ring under the
 growing fundamental unit, thinned by a congruence where a divisibility
 side condition needs it) plus a member map from an orbit element to
 (b, y, c); one orbit walker drops the degenerate members (base below 2)
-and turns the rest into records.  Every generator verifies the full
-digit-string property of each candidate before emitting it; a member
-that fails raises FamilyError.
+and numbers the rest.  Every generator emits through search.checked_record,
+so a member failing check_solution raises InvariantError naming the member
+and the invariant; FamilyError, for a family's own broken invariants, is one.
 The bijective and Zeckendorf square families are one construction each,
 checked digit for digit; the bundled table of bijective pattern families
 is read and checked by corpus, which owns its format.
@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 from .arith import QuadInt, ceil_root, unit_order
 from .factoring import is_probable_prime
-from .search import SolutionRecord, verify_solution
+from .search import InvariantError, SolutionRecord, checked_record
 from .triples import Triple
 from .words import (
     Word,
@@ -40,7 +40,6 @@ from .words import (
     fibonacci,
     repeat_word,
     to_bijective,
-    to_canonical,
     to_zeckendorf,
     zeckendorf_word,
 )
@@ -57,8 +56,8 @@ FUNDAMENTAL_UNITS = {
 _SEED_BOUND = 100_000
 
 
-class FamilyError(ValueError):
-    """A family's defining invariants do not hold."""
+class FamilyError(InvariantError):
+    """A family's defining invariants do not hold: a bug, as a solver's are."""
 
 
 @dataclass(frozen=True)
@@ -115,22 +114,17 @@ def find_seed(d: int, target_norm: int, *, b_multiple: int = 1) -> QuadInt:
     raise FamilyError(f"no seed with norm {target_norm} below bound {_SEED_BOUND}")
 
 
-def _emit_verified(candidates: Iterator[SolutionRecord], count: int) -> list[SolutionRecord]:
-    """The first `count` candidates; FamilyError if one fails to verify."""
+def _emit(t: Triple, members: Iterator[tuple[int, int, int]], count: int) -> list[SolutionRecord]:
+    """Checked records of the first `count` of an infinite stream of (b, y, c).
+
+    range leads the zip, so no member past `count` is computed.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: list[SolutionRecord] = []
-    for rec in candidates:
-        if not verify_solution(rec):
-            raise FamilyError(f"member {len(out) + 1} of ({rec.q},{rec.n},{rec.l}) fails to verify")
-        out.append(rec)
-        if len(out) == count:
-            return out
-    raise FamilyError("family stream ended early")
-
-
-def _rec(q: int, n: int, l: int, b: int, y: int, c: int) -> SolutionRecord:
-    return SolutionRecord(q, n, l, b, y, c, to_canonical(c, b))
+    return [
+        checked_record(t, b, y, c, f"member {i} of ({t.q},{t.n},{t.l})")
+        for i, (b, y, c) in zip(range(1, count + 1), members)
+    ]
 
 
 def _orbit(
@@ -139,13 +133,13 @@ def _orbit(
     member: Callable[[QuadInt], tuple[int, int, int]],
     count: int,
 ) -> list[SolutionRecord]:
-    """The first `count` verified records of triple t along fam's orbit.
+    """The first `count` checked records of triple t along fam's orbit.
 
     member maps each orbit element to (b, y, c); members with base below 2
-    are dropped before they become candidates.
+    are dropped before they are numbered.
     """
     members = (member(el) for el in _norm_family_stream(fam))
-    return _emit_verified((_rec(*t, b, y, c) for b, y, c in members if b >= 2), count)
+    return _emit(Triple(*t), ((b, y, c) for b, y, c in members if b >= 2), count)
 
 
 # odd powers of 1 + sqrt(2): solutions of a**2 - 2 b**2 = -1
@@ -156,14 +150,8 @@ _FIBER_231 = NormFamily(find_seed(3, -3, b_multiple=2), FUNDAMENTAL_UNITS[3], 2)
 
 def gen_n21(q: int, count: int) -> list[SolutionRecord]:
     """(q, 2, 1) for any q: c = 1 and b = y**q - 1, so y**q = (1,1) base b."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-
-    def stream():
-        for y in _count(2):
-            yield _rec(q, 2, 1, y**q - 1, y, 1)
-
-    return _emit_verified(stream(), count)
+    # Triple refuses q < 2
+    return _emit(Triple(q, 2, 1), ((y**q - 1, y, 1) for y in _count(2)), count)
 
 
 def gen_231(count: int) -> list[SolutionRecord]:
@@ -250,8 +238,6 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
     b**(2**t) == -1 mod p**2, and builds c = m v**2, y = m v p from
     m = (b**l + 1) / p**2 and the least v with v**2 b >= p**2.
     """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
     t = (l & -l).bit_length() - 1
     residue_mod = 2 ** (t + 1)
 
@@ -270,9 +256,9 @@ def gen_22_by_length(l: int, count: int) -> list[SolutionRecord]:
             if rem:
                 raise FamilyError(f"p^2 = {p2} does not divide {witness}^{l} + 1")
             v = ceil_root(-(-p2 // witness), 2)
-            yield _rec(2, 2, l, witness, m * v * p, m * v * v)
+            yield witness, m * v * p, m * v * v
 
-    return _emit_verified(stream(), count)
+    return _emit(Triple(2, 2, l), stream(), count)  # Triple refuses l < 1
 
 
 # a dict: benchmark tracing rebinds generators held in module-level dicts

@@ -27,15 +27,16 @@ import concurrent.futures
 import json
 import operator
 import os
+import random
 import tempfile
 import time
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import count
 
 from .arith import ceil_root, iroot
-from .factoring import FactorBudgetError, check_budget, open_defects
+from .factoring import FactorBudgetError, check_budget, is_probable_prime, open_defects
 from .triples import Triple
 from .words import (
     System,
@@ -50,6 +51,8 @@ from .words import (
 )
 
 _BRUTE_LIMIT = 10**7
+# bits of y**q above which check_solution first compares both sides mod a random prime
+_RESIDUE_BITS = 1 << 16
 
 
 class CheckpointError(RuntimeError):
@@ -89,6 +92,14 @@ def _repunit(top: int, n: int) -> int:
     return r
 
 
+@cache
+def _residue_prime() -> int:
+    """A random 61-bit prime, drawn once per process: no record can be made to fit it."""
+    rng = random.SystemRandom()
+    draws = iter(lambda: rng.getrandbits(61) | 1 << 60 | 1, 0)  # never 0: endless
+    return next(p for p in draws if is_probable_prime(p))
+
+
 def check_solution(rec: SolutionRecord) -> str | None:
     """Name of the first failing invariant, or None when all hold.
 
@@ -118,6 +129,11 @@ def check_solution(rec: SolutionRecord) -> str | None:
     ly, lc, lt = rec.y.bit_length(), rec.c.bit_length(), top.bit_length()
     if rec.q * (ly - 1) > lc + (rec.n - 1) * lt or rec.q * ly < lc + (rec.n - 1) * (lt - 1):
         return "power-equation"
+    if rec.q * ly > _RESIDUE_BITS:  # so q and n both huge build neither power
+        p, m = _residue_prime(), top - 1
+        # top**n = 1 mod m, so top**n mod p*m, less 1, is m*R mod p*m
+        if pow(rec.y, rec.q, p) != rec.c * ((pow(top, rec.n, p * m) - 1) // m) % p:
+            return "power-equation"
     if rec.y**rec.q != rec.c * _repunit(top, rec.n):
         return "power-equation"
     if not all(0 <= d < rec.b for d in rec.w.digits):
@@ -130,14 +146,13 @@ def verify_solution(rec: SolutionRecord) -> bool:
     return check_solution(rec) is None
 
 
-def _record(t: Triple, b: int, y: int, c: int) -> SolutionRecord:
-    return SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
-
-
-def _checked(rec: SolutionRecord, source: str) -> SolutionRecord:
+def checked_record(t: Triple, b: int, y: int, c: int, source: str) -> SolutionRecord:
+    """The record of (b, y, c) for t; InvariantError naming source if it fails a check."""
+    rec = SolutionRecord(t.q, t.n, t.l, b, y, c, to_canonical(c, b))
     bad = check_solution(rec)
     if bad:
-        raise InvariantError(f"{source} produced a record failing {bad}: {rec}")
+        # the checkpoint spelling: repr would refuse an int past 4,300 digits
+        raise InvariantError(f"{source} produced a record failing {bad}: {_solution_line(rec)}")
     return rec
 
 
@@ -172,7 +187,7 @@ def brute_solutions_for_base(t: Triple, b: int) -> list[SolutionRecord]:
     for c in range(b ** (t.l - 1), b**t.l):
         y, exact = iroot(c * r, t.q)
         if exact:
-            out.append(_checked(_record(t, b, y, c), "oracle"))
+            out.append(checked_record(t, b, y, c, "oracle"))
     return out
 
 
@@ -373,7 +388,7 @@ def _scan_chunk(
             raise InvariantError(f"defect times quotient is no {q}-th power at base {b}")
         k = ceil_root(-(-c_lo // d), q)
         while k**q * d < c_hi:
-            sols.append(_checked(_record(t, b, k * s, k**q * d), "defect scan"))
+            sols.append(checked_record(t, b, k * s, k**q * d, "defect scan"))
             k += 1
     return sols, unresolved
 

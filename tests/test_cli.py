@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repwords import SolutionRecord, Triple, canonical_word, check_solution, gen_232, is_admissible
-from repwords import cli
+from repwords import cli, search
 from repwords.cli import main
 from repwords.families import FamilyError
 from repwords.search import InvariantError
@@ -570,8 +570,9 @@ def test_checkpoint_in_a_missing_directory_is_an_operation_failure(capsys, tmp_p
 
 
 def test_bugs_leave_main_as_themselves(monkeypatch):
-    # FamilyError is a ValueError, but it means a generator broke its own
-    # invariant, as InvariantError means a solver did: neither is exit 2
+    # FamilyError is an InvariantError: a generator broke its own invariant,
+    # as InvariantError means a solver did, and main maps neither to an exit
+    # code
     def broken(*args, **kwargs):
         raise FamilyError("orbit left its class")
 
@@ -585,6 +586,29 @@ def test_bugs_leave_main_as_themselves(monkeypatch):
     monkeypatch.setattr(cli, "search_range", wrong)
     with pytest.raises(InvariantError, match="no 2-th power"):
         main("search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 30".split())
+
+
+# the requests of perfbench's tables workload
+TABLES_REQUESTS = ["verify --pattern-n-max 60"] + [
+    f"generate --triple {t} --count {k} --system {system}"
+    for t, k, system in [
+        ("2,3,1", 400, "canonical"), ("2,3,2", 46, "canonical"), ("3,2,2", 400, "canonical"),
+        ("3,2,3", 80, "canonical"), ("3,3,1", 60, "canonical"), ("2,4,1", 400, "canonical"),
+        ("4,2,2", 40, "canonical"), ("5,2,1", 300, "canonical"), ("2,2,1", 40, "canonical"),
+        ("2,2,3", 40, "canonical"), ("2,2,6", 300, "bijective"), ("2,2,1", 120, "fibonacci"),
+    ]
+]
+
+
+def test_tables_requests_take_no_residue_test(capsys, monkeypatch):
+    # no bundled row or family record they check has y**q past
+    # _RESIDUE_BITS, so none of them draws the residue prime
+    draws = []
+    monkeypatch.setattr(search, "_residue_prime", lambda: draws.append(1) or 2**61 - 1)
+    for argv in TABLES_REQUESTS:
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
+    assert len(TABLES_REQUESTS) == 13 and draws == []
 
 
 def test_main_called_again_in_one_process(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from repwords import families
+from repwords import families, search
 from repwords.arith import QuadInt
 from repwords.corpus import (
     TableCorpus,
@@ -38,7 +38,7 @@ from repwords.families import (
     gen_n21,
 )
 from repwords.factoring import primes_upto
-from repwords.search import verify_solution
+from repwords.search import InvariantError, verify_solution
 from repwords.triples import Triple
 from repwords.words import bijective_word, repeat_word, to_bijective, to_zeckendorf, word_value
 
@@ -247,12 +247,32 @@ def test_gen_bijective_square():
 
 
 def test_failing_member_raises(monkeypatch):
-    # a candidate that fails verification breaks the family; it is not skipped
+    # a member that fails its check breaks the family, as a solver's record
+    # would: it is not skipped
     third = gen_231(3)[2]
-    monkeypatch.setattr(families, "verify_solution", lambda rec: rec != third)
+    real = search.check_solution
+    monkeypatch.setattr(
+        search, "check_solution", lambda rec: "power-equation" if rec == third else real(rec)
+    )
     assert len(gen_231(2)) == 2
-    with pytest.raises(FamilyError, match=r"^member 3 of \(2,3,1\) fails to verify$"):
+    with pytest.raises(
+        InvariantError, match=r"^member 3 of \(2,3,1\) produced a record failing power-equation: "
+    ):
         gen_231(3)
+
+
+def test_no_member_past_count_is_computed(monkeypatch):
+    calls = []
+    real = families._member_323
+    monkeypatch.setattr(families, "_member_323", lambda el: calls.append(el) or real(el))
+    assert len(gen_323(5)) == 5
+    assert len(calls) == 5
+
+
+def test_a_broken_family_is_an_invariant_error():
+    # a family whose own invariants fail is a bug, as a solver's is
+    assert issubclass(FamilyError, InvariantError)
+    assert not issubclass(FamilyError, ValueError)
 
 
 def _bijective_rows():

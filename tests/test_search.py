@@ -170,7 +170,7 @@ def _records_to_check():
             yield from corpus.rows
 
 
-def test_block_form_check_matches_the_literal_one():
+def _block_form_matches_literal_on_records_and_mutants():
     seen, names = set(), Counter()
     for r in _records_to_check():
         assert check_solution(r) is None, r
@@ -184,6 +184,16 @@ def test_block_form_check_matches_the_literal_one():
         "triple", "base", "y-range", "word-shape", "word-value", "c-range",
         "power-equation", "digit-string",
     }
+
+
+def test_block_form_check_matches_the_literal_one():
+    _block_form_matches_literal_on_records_and_mutants()
+
+
+def test_block_form_check_matches_the_literal_one_residues_first(monkeypatch):
+    # every record and mutant past the bit-length bound takes the residue test
+    monkeypatch.setattr(search, "_RESIDUE_BITS", 0)
+    _block_form_matches_literal_on_records_and_mutants()
 
 
 def test_repunit_is_the_quotient():
@@ -200,9 +210,7 @@ def _small_records():
     ]
 
 
-@settings(derandomize=True, max_examples=400)
-@given(st.data())
-def test_block_form_check_matches_on_random_fields(data):
+def _block_form_matches_literal_on_a_random_mutant(data):
     # small records with random fields nudged and random digits carried
     # (value kept) or changed (value followed by c or not)
     r = data.draw(st.sampled_from(_small_records()))
@@ -221,11 +229,49 @@ def test_block_form_check_matches_on_random_fields(data):
     assert check_solution(m) == _literal_check(m)
 
 
-@pytest.mark.parametrize("q, n", [(2, 10**13), (10**13, 2)])
+@settings(derandomize=True, max_examples=400)
+@given(st.data())
+def test_block_form_check_matches_on_random_fields(data):
+    _block_form_matches_literal_on_a_random_mutant(data)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(st.data())
+def test_block_form_check_matches_on_random_fields_residues_first(data):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_RESIDUE_BITS", 0)
+        _block_form_matches_literal_on_a_random_mutant(data)
+
+
+def test_a_true_record_past_the_residue_threshold_passes():
+    # y**q has q * 2 bits, past _RESIDUE_BITS: the residues agree, and the
+    # exact check that follows passes it; n or b one off fails
+    q = 2**16 + 1
+    b = 2**q - 1
+    r = rec(q, 2, 1, b, 2, 1)
+    assert r.q * r.y.bit_length() > search._RESIDUE_BITS
+    assert check_solution(r) is None
+    assert check_solution(dataclasses.replace(r, n=3)) == "power-equation"
+    assert check_solution(rec(q, 2, 1, b + 1, 2, 1)) == "power-equation"
+
+
+def test_a_failing_record_message_formats_ints_of_any_size():
+    # y has over 4,300 digits, where repr of the record would raise ValueError
+    r = gen_232(46)[-1]
+    assert len(format_decimal(r.y)) > 4300
+    with pytest.raises(search.InvariantError) as info:
+        search.checked_record(Triple(2, 3, 2), r.b, r.y + 1, r.c, "test")
+    msg = str(info.value)
+    assert msg.startswith("test produced a record failing power-equation: ")
+    assert f'"y": "{format_decimal(r.y + 1)}"' in msg
+
+
+@pytest.mark.parametrize("q, n", [(2, 10**13), (10**13, 2), (10**13, 10**13)])
 def test_huge_q_or_n_in_a_checkpoint_is_refused_at_once(tmp_path, q, n):
-    # y**q against c * R by bit lengths first: neither side is built, so
-    # a 13-digit q or n costs no ~10**13-bit integer.  Run capped at 1 GiB
-    # of address space, so a regression fails instead of exhausting memory
+    # y**q against c * R by bit lengths first, then, with q and n both
+    # huge, by residues mod a prime: neither side is built, so a 13-digit
+    # q or n costs no ~10**13-bit integer.  Run capped at 1 GiB of address
+    # space, so a regression fails instead of exhausting memory
     path = tmp_path / "cp.jsonl"
     cells = {"q": str(q), "n": str(n), "l": "1", "b": "2", "y": "2", "c": "1", "w": ["1"]}
     lines = [{"triple": [str(q), str(n), "1"]}, {"solution": cells}]
@@ -475,6 +521,25 @@ def test_search_workers_match_serial(monkeypatch):
     monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
     t = Triple(2, 3, 1)
     assert search_range(t, 2, 200, workers=2) == search_range(t, 2, 200)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_other_start_methods_matches_serial(monkeypatch, method):
+    # workers that import repwords afresh, as under forkserver, the POSIX
+    # default from Python 3.14 on, find what this process finds alone
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    t = Triple(2, 3, 1)
+    serial = search_range(t, 2, 3000)
+    started = []
+    real, context = concurrent.futures.ProcessPoolExecutor, multiprocessing.get_context(method)
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda *a: started.append(a) or real(*a, mp_context=context),
+    )
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    assert search_range(t, 2, 3000, workers=2) == serial
+    assert started == [(2,)]
 
 
 def test_search_workers_write_identical_checkpoints(tmp_path, monkeypatch):
@@ -883,15 +948,15 @@ def test_invariant_checks_survive_optimize():
     # under python -O a corrupted record must still be refused, not returned
     script = textwrap.dedent(
         """
-        import dataclasses, sys
+        import sys
         from repwords import search
         from repwords.triples import Triple
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         search._HELPERS_PAY_S = 0
-        real = search._record
-        search._record = lambda *a: dataclasses.replace(real(*a), y=real(*a).y + 1)
+        real = search.checked_record
+        search.checked_record = lambda t, b, y, c, source: real(t, b, y + 1, c, source)
         for solve in (search.solutions_for_base, search.brute_solutions_for_base):
             try:
                 solve(Triple(2, 3, 1), 18)
@@ -902,9 +967,9 @@ def test_invariant_checks_survive_optimize():
         # with two workers this process scans the first chunk, [2, 20], and
         # the pool the last, [135, 150]; each holds a solution, and each
         # refuses it when only its own chunk's records are corrupted
-        bad = search._record
+        bad = search.checked_record
         for lo, hi in ((2, 20), (135, 150)):
-            search._record = lambda t, b, *a, lo=lo, hi=hi: (
+            search.checked_record = lambda t, b, *a, lo=lo, hi=hi: (
                 bad if lo <= b <= hi else real
             )(t, b, *a)
             try:
@@ -925,18 +990,19 @@ def test_invariant_checks_survive_optimize():
     assert proc.stdout.count("power-equation") == 4
 
 
-# _checked on the (2,3,1) record at base 18 with y = 50 in place of 49;
-# no assert, so python -O runs all of it
+# checked_record on the (2,3,1) record at base 18 with y = 50 in place of
+# 49; no assert, so python -O runs all of it
 CHECKED_SCRIPT = textwrap.dedent(
     """
     from repwords import search
+    from repwords.triples import Triple
     from repwords.words import canonical_word
 
     good = search.SolutionRecord(2, 3, 1, 18, 49, 7, canonical_word(18, (7,)))
-    if search._checked(good, "oracle") is not good:
+    if search.checked_record(Triple(2, 3, 1), 18, 49, 7, "oracle") != good:
         raise SystemExit("a good record did not pass through")
     try:
-        search._checked(search.SolutionRecord(2, 3, 1, 18, 50, 7, good.w), "oracle")
+        search.checked_record(Triple(2, 3, 1), 18, 50, 7, "oracle")
     except search.InvariantError as e:
         print(e)
     """
