@@ -14,7 +14,8 @@ k*n + m times, so '(3:2n+2)4' is 3 written 2n+2 times, then 4.
 verify_corpus recomputes every row from scratch and reports the first
 violated invariant per row, never stopping at the first bad row; a
 pattern row is checked by value at n = 0..E, which proves it for every
-n >= 0 (see _check_pattern_row).
+n >= 0 (see _check_pattern_row), and a Zeckendorf row y,w by comparing
+y*y with value(w w) (see _check_zeckendorf_row).
 write_rows prints rows in the same cell formats, so the CSV of `repwords
 search` or canonical `repwords generate` loads back as a corpus at any
 size; the bijective and fibonacci `generate` headers are not corpus
@@ -40,8 +41,8 @@ from .words import (
     format_decimal,
     parse_decimal,
     parse_decimals,
-    split_repetition,
-    to_zeckendorf,
+    render_word,
+    repeat_word,
     word_value,
     zeckendorf_word,
 )
@@ -96,7 +97,7 @@ _PATTERN_TOKEN = re.compile(r"\(([0-9]+):([0-9]*)n(?:\+([0-9]+))?\)|([0-9])")
 
 def _word_cell(w: Word, fmt: str) -> str | list[str]:
     if w.system is System.ZECKENDORF:
-        return "".join(map(str, w.digits))
+        return render_word(w)
     digits = list(map(format_decimal, w.digits))
     return digits if fmt == "jsonl" else "(" + ",".join(digits) + ")"
 
@@ -231,9 +232,12 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
 
 
 def _check_zeckendorf_row(y: int, w: Word) -> str | None:
+    # w is a Zeckendorf word, so it starts with 1, and w w is one exactly
+    # when w ends in 0.  Zeckendorf words are unique, so y*y then spells
+    # w w exactly when it equals value(w w); if w ends in 1, nothing does.
     if y < 2:
         return "y-range"
-    if split_repetition(to_zeckendorf(y * y), 2) != w:
+    if not w.digits or w.digits[-1] or y * y != word_value(repeat_word(w, 2)):
         return "square-digits"
     return None
 

@@ -13,8 +13,9 @@ and numbers the rest.  Every generator emits through search.checked_record,
 so a member failing check_solution raises InvariantError naming the member
 and the invariant; FamilyError, for a family's own broken invariants, is one.
 The bijective and Zeckendorf square families are one construction each,
-checked digit for digit; the bundled table of bijective pattern families
-is read and checked by corpus, which owns its format.
+each member checked by value, which unique words make a check of every
+digit; the bundled table of bijective pattern families is read and
+checked by corpus, which owns its format.
 
 Seeds are located by bounded brute force over small ring elements with
 the required norm, or as the first orbit member with a side condition;
@@ -38,9 +39,7 @@ from .words import (
     Word,
     bijective_word,
     fibonacci,
-    repeat_word,
-    to_bijective,
-    to_zeckendorf,
+    word_value,
     zeckendorf_word,
 )
 
@@ -293,14 +292,16 @@ def is_admissible(t: Triple) -> bool:
 
 def gen_bijective_square(b: int, l: int) -> tuple[int, Word]:
     """y = b**l + 1, whose square is w w in bijective base b for the
-    l-digit word w = ((b-1) repeated l-2 times, b, 1)."""
+    l-digit word w = ((b-1) repeated l-2 times, b, 1).  w w is a bijective
+    word of value value(w) * (b**l + 1), which is y*y once value(w) == y;
+    bijective words are unique, so y*y then spells w w."""
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
     y = b**l + 1
     w = bijective_word(b, (b - 1,) * (l - 2) + (b, 1))
-    if to_bijective(y * y, b) != repeat_word(w, 2):
+    if word_value(w) != y:
         raise FamilyError("square template failed to verify")
     return y, w
 
@@ -309,9 +310,28 @@ def gen_bijective_square(b: int, l: int) -> tuple[int, Word]:
 # Zeckendorf families
 
 
+def _fibonacci_copy_value(n: int, e: int) -> int:
+    """Value of gen_fibonacci_family(n)'s word w followed by e zero digits.
+
+    Its 1-digits weigh F(8n+11+e), the n - 1 terms F(4n+14+e), F(4n+18+e),
+    ..., F(8n+6+e), and F(4n+10+e), F(4n+8+e), F(4n+5+e), F(4n+2+e).  The
+    progression telescopes, as 5 F(k) = L(k+2) - L(k-2) for the Lucas
+    numbers L(k) = F(k-1) + F(k+1).
+    """
+    a, f = 4 * n + e, fibonacci
+    progression = (f(a + 4 * n + 7) + f(a + 4 * n + 9) - f(a + 11) - f(a + 13)) // 5
+    return f(a + 4 * n + 11) + progression + f(a + 10) + f(a + 8) + f(a + 5) + f(a + 2)
+
+
 def gen_fibonacci_family(n: int) -> tuple[int, Word]:
     """y = F(4n+3) + F(4n+6) + F(8n+8) + F(8n+11); its square is w w in
-    Zeckendorf for an explicit word w of length 8n + 10."""
+    Zeckendorf for an explicit word w of length 8n + 10.
+
+    The Word checks that w starts with 1 and has no two adjacent 1s.  Once
+    value(w) is the closed form's, uniqueness makes w the intended digits,
+    which end in 4n >= 4 zeros, so w w is a Zeckendorf word too.  Once
+    y*y is its value, uniqueness again makes w w the word of y*y.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     y = (
@@ -327,7 +347,7 @@ def gen_fibonacci_family(n: int) -> tuple[int, Word]:
         + (0,) * (4 * n)
     )
     w = zeckendorf_word(digits)
-    if to_zeckendorf(y * y) != repeat_word(w, 2):
+    v = word_value(w)
+    if v != _fibonacci_copy_value(n, 0) or y * y != _fibonacci_copy_value(n, 8 * n + 10) + v:
         raise FamilyError(f"square family fails at n={n}")
     return y, w
-

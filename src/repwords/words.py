@@ -33,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 
 
 class System(str, Enum):
@@ -96,7 +97,7 @@ class Word:
                 raise MalformedWordError("zeckendorf word must start with 1")
             if not set(d) <= {0, 1}:
                 raise MalformedWordError("zeckendorf digit not a bit")
-            if (1, 1) in zip(d, d[1:]):
+            if b"\x01\x01" in bytes(d):
                 raise MalformedWordError("adjacent 1 digits in zeckendorf word")
 
     def __len__(self) -> int:
@@ -238,9 +239,9 @@ def word_value(w: Word) -> int:
     """Integer value of a word; inverse of the to_* encoders."""
     if w.system is System.ZECKENDORF:
         n = len(w.digits)
-        if n:
-            fibonacci(n + 1)
-        return sum(_FIBS[n + 1 - j] for j, d in enumerate(w.digits) if d)
+        fibonacci(n + 1)
+        # the digit at index j weighs F(n + 1 - j)
+        return sum(compress(_FIBS[n + 1 : 1 : -1], w.digits))
     base, d = w.base, w.digits
     if len(d) <= _CUTOFF_DIGITS:
         return _horner(d, base)
@@ -341,10 +342,13 @@ def _decimal_value(text: str) -> int:
     return _decimal_value(text[:cut]) * _rung(_DECIMAL_RUNGS, i) + _decimal_value(text[cut:])
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def render_word(w: Word) -> str:
     """Text form: ``(d1,d2,...,dk)@b`` or, for Zeckendorf, a bit string."""
     if w.system is System.ZECKENDORF:
-        return "".join(str(d) for d in w.digits)
+        return bytes(w.digits).translate(_BIT_CHARS).decode()
     body = ",".join(map(format_decimal, w.digits))
     return f"({body})@{format_decimal(w.base)}"
 

@@ -222,6 +222,20 @@ def test_generate_other_systems_output_is_pinned(capsys):
     assert h.hexdigest() == OTHER_SYSTEMS_DIGEST
 
 
+# the same two requests as JSONL
+OTHER_SYSTEMS_JSONL_DIGEST = "590a443583b3c27da0105c68bccdf60eb40504e17a5c77840cdc16e4637c06e6"
+
+
+def test_generate_other_systems_jsonl_is_pinned(capsys):
+    h = hashlib.sha256()
+    for triple, count, system in (("2,2,6", "300", "bijective"), ("2,2,1", "120", "fibonacci")):
+        argv = ("generate", "--triple", triple, "--count", count, "--system", system)
+        code, out, err = run(capsys, *argv, "--format", "jsonl")
+        assert (code, err) == (0, ""), system
+        h.update(out.encode())
+    assert h.hexdigest() == OTHER_SYSTEMS_JSONL_DIGEST
+
+
 def test_generate_no_family(capsys):
     code, _, err = run(capsys, *"generate --triple 2,5,1 --count 1".split())
     assert code == 2
@@ -429,6 +443,9 @@ def test_repr_systems(capsys):
         ("repr --x 100 --base 3 --system bijective", "(3,1,3,1)@3"),
         ("repr --x 100 --system zeckendorf", "1000010100"),
         ("repr --x 100 --system fibonacci", "1000010100"),
+        ("repr --x 0 --system fibonacci", ""),
+        ("repr --x 1 --system fibonacci", "1"),
+        ("repr --x 98210 --system fibonacci", "100100100100100100101000"),
     ]:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0

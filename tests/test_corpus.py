@@ -192,6 +192,16 @@ def test_zeckendorf_corpus_checks_square(tmp_path):
     assert failures == [None, "square-digits", "y-range", "square-digits"]
 
 
+def test_zeckendorf_rows_that_spell_no_square(tmp_path):
+    # 49,10100100 is a bundled row.  120**2 is the plain digit sum of
+    # 1001001001 twice, but that doubled word has adjacent 1s, so it is no
+    # Zeckendorf word and the row fails on w's last digit alone
+    p = tmp_path / "z.csv"
+    p.write_text("y,w\n49,10100100\n120,1001001001\n50,10100100\n49,\n")
+    report = verify_corpus(load_corpus(p))
+    assert [r.failure for r in report.results] == [None] + ["square-digits"] * 3
+
+
 def test_pattern_corpus_roundtrip(tmp_path):
     p = tmp_path / "pat.csv"
     p.write_text('b,row,y_pattern,w_pattern\n7,1,"(3:2n+2)4","(15:n+1)2"\n')

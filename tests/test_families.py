@@ -12,6 +12,7 @@ from repwords.arith import QuadInt
 from repwords.corpus import (
     TableCorpus,
     _check_pattern_row,
+    _check_zeckendorf_row,
     _pattern_value,
     format_report,
     load_corpus,
@@ -40,7 +41,14 @@ from repwords.families import (
 from repwords.factoring import primes_upto
 from repwords.search import InvariantError, verify_solution
 from repwords.triples import Triple
-from repwords.words import bijective_word, repeat_word, to_bijective, to_zeckendorf, word_value
+from repwords.words import (
+    bijective_word,
+    repeat_word,
+    to_bijective,
+    to_zeckendorf,
+    word_value,
+    zeckendorf_word,
+)
 
 
 def test_fundamental_units_have_unit_norm():
@@ -372,6 +380,57 @@ def test_gen_fibonacci_family():
         assert len(w.digits) == 8 * n + 10
     with pytest.raises(ValueError):
         gen_fibonacci_family(0)
+
+
+def test_square_families_spell_their_squares():
+    # the digit re-encode the generators no longer run is the oracle
+    for n in range(1, 61):
+        y, w = gen_fibonacci_family(n)
+        assert to_zeckendorf(y * y) == repeat_word(w, 2)
+    for b in range(2, 41):
+        for l in range(2, 9):
+            y, w = gen_bijective_square(b, l)
+            assert to_bijective(y * y, b) == repeat_word(w, 2)
+
+
+def test_fibonacci_closed_form_is_the_word_value():
+    for n in range(1, 61):
+        digits = (
+            (1, 0, 0, 0, 0) + (1, 0, 0, 0) * (n - 1) + (1, 0, 1, 0, 0, 1, 0, 0, 1) + (0,) * (4 * n)
+        )
+        assert gen_fibonacci_family(n)[1].digits == digits
+        for e in (0, 8 * n + 10):
+            expect = word_value(zeckendorf_word(digits + (0,) * e))
+            assert families._fibonacci_copy_value(n, e) == expect, (n, e)
+
+
+def test_square_families_check_without_re_encoding():
+    for fn in (gen_fibonacci_family, gen_bijective_square, _check_zeckendorf_row):
+        assert not {"to_zeckendorf", "to_bijective"} & set(fn.__code__.co_names), fn
+
+
+def test_a_flipped_digit_breaks_a_square_family(monkeypatch):
+    # each fault leaves a valid word, so only the value check can see it
+    def last_zero_to_one(digits):
+        return zeckendorf_word(digits[:-1] + (1,))
+
+    monkeypatch.setattr(families, "zeckendorf_word", last_zero_to_one)
+    with pytest.raises(FamilyError, match=r"^square family fails at n=3$"):
+        gen_fibonacci_family(3)
+    monkeypatch.undo()
+
+    # the value of w is checked against the closed form, not only y*y
+    real = families._fibonacci_copy_value
+    monkeypatch.setattr(families, "_fibonacci_copy_value", lambda n, e: real(n, e) + (e == 0))
+    with pytest.raises(FamilyError, match=r"^square family fails at n=3$"):
+        gen_fibonacci_family(3)
+
+    def first_digit_down(b, digits):
+        return bijective_word(b, (digits[0] - 1,) + digits[1:])
+
+    monkeypatch.setattr(families, "bijective_word", first_digit_down)
+    with pytest.raises(FamilyError, match=r"^square template failed to verify$"):
+        gen_bijective_square(5, 4)
 
 
 def test_family_members_found_by_search():

@@ -112,6 +112,10 @@ def test_word_validation():
         canonical_word(10, (0, 10))
     with pytest.raises(MalformedWordError, match="^zeckendorf digit not a bit$"):
         zeckendorf_word((1, 1, 2))
+    # the bit test runs before the adjacency test reads the digits as bytes
+    for digits in ((1, 2, 1, 1), (1, 0, 256), (1, 0, -1)):
+        with pytest.raises(MalformedWordError, match="^zeckendorf digit not a bit$"):
+            zeckendorf_word(digits)
     # empty and edge-of-range words are valid
     assert canonical_word(10, ()).digits == ()
     assert canonical_word(10, (9, 0)).digits == (9, 0)
