@@ -28,11 +28,12 @@ import json
 import operator
 import os
 import random
+import re
 import tempfile
 import time
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import count
 
 from .arith import ceil_root, iroot
@@ -78,6 +79,11 @@ class SolutionRecord:
     @property
     def triple(self) -> Triple:
         return Triple(self.q, self.n, self.l)
+
+    @cached_property
+    def _checkpoint_line(self) -> str:
+        """The record's checkpoint line, formatted at most once per record."""
+        return _solution_line(self)
 
 
 def _repunit(top: int, n: int) -> int:
@@ -267,6 +273,28 @@ def _unresolved_line(b: int) -> str:
     return f'{{"unresolved": "{format_decimal(b)}"}}'
 
 
+# exactly the lines _solution_line makes, each cell what format_decimal gives:
+# such a line is the JSON of the record it reads as, and byte for byte its line
+_DECIMAL = "(?:0|[1-9][0-9]*)"
+_SOLUTION_SHAPE = re.compile(
+    r'\{"solution": \{'
+    + "".join(f'"{k}": "({_DECIMAL})", ' for k in "qnlbyc")
+    + rf'"w": \[(?:"((?:{_DECIMAL}", ")*{_DECIMAL})")?\]\}}\}}'
+)
+
+
+def _solution(cells: list[str], w: list[str]) -> SolutionRecord:
+    q, n, l, b, y, c, *digits = parse_decimals(cells + w)
+    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(digits)))
+
+
+def _solution_from_shape(m: re.Match) -> SolutionRecord:
+    *cells, w = m.groups()
+    rec = _solution(cells, w.split('", "') if w else [])
+    object.__setattr__(rec, "_checkpoint_line", m.string)  # seeds the cached_property
+    return rec
+
+
 def _solution_from_json(obj) -> SolutionRecord:
     if not (isinstance(obj, dict) and len(obj) == 7):
         raise CheckpointError(f"expected the keys q n l b y c w, got {obj!r:.64}")
@@ -274,8 +302,7 @@ def _solution_from_json(obj) -> SolutionRecord:
     cells, w = [obj[k] for k in "qnlbyc"], obj["w"]
     if not (isinstance(w, list) and all(isinstance(s, str) for s in cells + w)):
         raise CheckpointError(f"expected decimal strings, got {obj!r:.64}")
-    q, n, l, b, y, c, *digits = parse_decimals(cells + w)
-    return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(digits)))
+    return _solution(cells, w)
 
 
 def write_checkpoint(path: str, cp: Checkpoint) -> None:
@@ -285,12 +312,12 @@ def write_checkpoint(path: str, cp: Checkpoint) -> None:
     q, n, l = map(format_decimal, (t.q, t.n, t.l))
     lines = [f'{{"triple": ["{q}", "{n}", "{l}"]}}']
     lines += [_range_line(lo, hi) for lo, hi in cp.completed]
-    lines += [_solution_line(rec) for rec in cp.solutions]
+    lines += [rec._checkpoint_line for rec in cp.solutions]
     lines += [_unresolved_line(b) for b in cp.unresolved]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -302,22 +329,30 @@ def write_checkpoint(path: str, cp: Checkpoint) -> None:
 def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
     """Read a checkpoint, dropping a torn (unterminated, unparsable) last line.
 
-    Any other malformed line raises CheckpointError.
+    Any other malformed line, undecodable bytes too, raises CheckpointError.
+    A solution line of the writer's exact shape is read by one pattern, not
+    json.loads, into the same record, which keeps the line for a rewrite.
     """
     triple: Triple | None = None
     completed: list[tuple[int, int]] = []
     solutions: list[SolutionRecord] = []
     unresolved: list[int] = []
-    with open(path) as fh:
+    # undecodable bytes are read as lone surrogates, then refused line by line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict) or len(obj) != 1:
-                    raise CheckpointError("each line must be a one-key object")
-                key, val = next(iter(obj.items()))
+                if shape := _SOLUTION_SHAPE.fullmatch(line):
+                    key, val = "solution", shape
+                else:
+                    if not line.isascii():  # raises UnicodeDecodeError at a lone surrogate
+                        line.encode(errors="surrogateescape").decode()
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict) or len(obj) != 1:
+                        raise CheckpointError("each line must be a one-key object")
+                    key, val = next(iter(obj.items()))
                 if key == "triple":
                     got = Triple(*_decimals(val, 3))
                     if triple is not None and got != triple:
@@ -329,7 +364,7 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                         raise CheckpointError(f"empty range [{lo},{hi}]")
                     completed.append((lo, hi))
                 elif key == "solution":
-                    rec = _solution_from_json(val)
+                    rec = _solution_from_shape(val) if shape else _solution_from_json(val)
                     bad = check_solution(rec)
                     if bad:
                         raise CheckpointError(f"stored solution fails: {bad}")
@@ -339,7 +374,8 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                 else:
                     raise CheckpointError(f"unknown record kind {key!r}")
             except (CheckpointError, ValueError, KeyError) as e:
-                if isinstance(e, json.JSONDecodeError) and not raw.endswith("\n"):
+                unparsable = isinstance(e, (json.JSONDecodeError, UnicodeDecodeError))
+                if unparsable and not raw.endswith("\n"):
                     break  # unterminated last line: an append cut short
                 raise CheckpointError(f"{path}:{lineno}: {e}") from None
     if triple is None:
@@ -451,7 +487,7 @@ def search_range(
         if not os.path.exists(checkpoint_path) or not _ends_with_newline(checkpoint_path):
             # new file, or one whose torn tail must not prefix the next append
             write_checkpoint(checkpoint_path, cp)
-        appender = open(checkpoint_path, "a")
+        appender = open(checkpoint_path, "a", encoding="utf-8")
 
     def note(chunk: tuple[int, int], found: tuple[list[SolutionRecord], list[int]]) -> None:
         sols, unres = found
@@ -460,7 +496,7 @@ def search_range(
         completed.append(chunk)
         if appender:
             for rec in sols:
-                appender.write(_solution_line(rec) + "\n")
+                appender.write(rec._checkpoint_line + "\n")
             for b in unres:
                 appender.write(_unresolved_line(b) + "\n")
             # last, so a kill before it leaves the chunk a gap to rescan

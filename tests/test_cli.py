@@ -91,6 +91,21 @@ def test_search_foreign_checkpoint(capsys, tmp_path):
     assert "checkpoint" in err
 
 
+def test_search_refuses_undecodable_checkpoint_bytes(capsys, tmp_path):
+    # a byte that is no UTF-8 makes a malformed line like any other: exit 3,
+    # with the file and line number
+    p = tmp_path / "cp.jsonl"
+    p.write_bytes(
+        b'{"triple": ["2", "3", "1"]}\n{"range": ["2", "5"]}\n'
+        b'{"range": ["6", "\xff"]}\n{"range": ["7", "9"]}\n'
+    )
+    code, out, err = run(
+        capsys, *"search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 9 --checkpoint".split(), str(p)
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(f"checkpoint error: {p}:3: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_search_unresolved_warning(capsys):
     code, out, err = run(
         capsys,

@@ -944,6 +944,99 @@ def test_checkpoint_drops_only_an_unterminated_tail(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_undecodable_torn_tail_resumes(tmp_path):
+    # an unterminated last line that is no UTF-8, even a character cut
+    # mid-sequence, is a torn tail too: dropped, and the run resumes to the
+    # bytes of an uninterrupted one
+    t = Triple(2, 3, 1)
+    whole_path = tmp_path / "whole.jsonl"
+    whole = search_range(t, 2, 75, str(whole_path))
+    path = tmp_path / "cp.jsonl"
+    search_range(t, 2, 40, str(path))
+    head = path.read_bytes()
+    # the last: two of the three bytes of one character
+    for tail in (b'{"range": ["41", "\xff', b"\xff", b'{"unresolved": "\xe2\x82'):
+        path.write_bytes(head + tail)
+        assert load_checkpoint(str(path)).completed == ((2, 40),)
+        assert search_range(t, 2, 75, str(path)) == whole
+        assert path.read_bytes() == whole_path.read_bytes()
+
+
+def test_writer_solution_lines_are_read_without_json(tmp_path, monkeypatch):
+    # every solution line the writer makes, a 4,331-digit y's too, is read
+    # by the one pattern: json.loads decodes only the other lines
+    big = gen_232(46)[-1]
+    paths = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    search_range(Triple(2, 2, 3), 2, 300, str(paths[0]))
+    write_checkpoint(str(paths[1]), Checkpoint(big.triple, ((big.b, big.b),), (big,), ()))
+    decoded = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: decoded.append(s) or real(s, *a, **k))
+    for path in paths:
+        decoded.clear()
+        cp = load_checkpoint(str(path))
+        lines = path.read_text().splitlines()
+        assert decoded == [line for line in lines if not line.startswith('{"solution"')]
+        assert len(cp.solutions) == len(lines) - len(decoded) > 0
+    assert cp.solutions == (big,)
+
+
+def _line_variants(line: str) -> list[str]:
+    """Lines that load to the record of line, in shapes the writer never makes."""
+    obj = json.loads(line)
+    cells = obj["solution"]
+    y, c = cells["y"], cells["c"]
+    return [
+        line.replace(f'"y": "{y}"', f'"y": " {y}"'),  # a padded cell
+        line.replace(f'"c": "{c}"', f'"c": "00{c}"'),  # leading zeros
+        json.dumps({"solution": dict(reversed(cells.items()))}),  # other key order
+        line.replace(f'"y": "{y[0]}', f'"y": "\\u00{ord(y[0]):x}'),  # an escape
+        line.replace('"q": ', '"q":  '),  # a space more after a colon
+    ]
+
+
+def test_solution_line_variants_load_alike_and_rewrite_canonically(tmp_path):
+    # each variant takes the JSON path to the record of the writer's line,
+    # and a resume rewrites it in the writer's bytes
+    path = tmp_path / "cp.jsonl"
+    for r in (rec(2, 3, 1, 18, 49, 7), gen_232(46)[-1]):
+        cp = Checkpoint(r.triple, ((r.b, r.b),), (r,), ())
+        write_checkpoint(str(path), cp)
+        canon = path.read_text()
+        head, line = canon.splitlines()[:2], canon.splitlines()[2]
+        assert search._SOLUTION_SHAPE.fullmatch(line)
+        variants = _line_variants(line)
+        assert len(set(variants)) == 5 and line not in variants
+        for variant in variants:
+            assert not search._SOLUTION_SHAPE.fullmatch(variant)
+            path.write_text("\n".join(head + [variant]) + "\n")
+            assert load_checkpoint(str(path), expect=r.triple) == cp
+            assert search_range(r.triple, r.b, r.b, str(path)) == cp
+            assert path.read_text() == canon
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_formats_each_new_record_once(tmp_path, monkeypatch, workers):
+    # a record found is formatted once, for its append, and the final
+    # rewrite reuses that line; a loaded record of the writer's shape is
+    # never formatted again
+    monkeypatch.setattr(search, "_HELPERS_PAY_S", 0)
+    formatted = Counter()
+    real = search._solution_line
+    monkeypatch.setattr(search, "_solution_line", lambda r: formatted.update([r]) or real(r))
+    t = Triple(2, 2, 1)
+    path = tmp_path / "cp.jsonl"
+    half = search_range(t, 2, 150, str(path), workers=workers)
+    assert formatted == Counter(half.solutions)
+    formatted.clear()
+    whole = search_range(t, 2, 300, str(path), workers=workers)
+    assert formatted == Counter(r for r in whole.solutions if r.b > 150)
+    assert len(whole.solutions) > len(half.solutions) > 0
+    whole_path = tmp_path / "whole.jsonl"
+    search_range(t, 2, 300, str(whole_path))
+    assert path.read_bytes() == whole_path.read_bytes()
+
+
 def test_invariant_checks_survive_optimize():
     # under python -O a corrupted record must still be refused, not returned
     script = textwrap.dedent(
