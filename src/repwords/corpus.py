@@ -130,9 +130,11 @@ def write_rows(header: tuple[str, ...], rows, fmt: str) -> None:
         for cells in lines:
             print(json.dumps(dict(zip(header, cells))))
         return
-    wr = csv.writer(sys.stdout)
-    wr.writerow(header)
-    wr.writerows(lines)
+    write = sys.stdout.write
+    write(",".join(header) + "\r\n")
+    for cells in lines:
+        # csv's minimal quoting: no cell holds a quote, CR or LF, so only a comma quotes
+        write(",".join([f'"{c}"' if "," in c else c for c in cells]) + "\r\n")
 
 
 def write_records(records, fmt: str) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -212,15 +213,27 @@ GENERATE_DIGEST_REQUESTS = [
 GENERATE_DIGEST = "d9bef2d7c946fe2dcbab862373c256a42793952761719e9fdba583a6eaf0a8d9"
 
 
+# the same requests as JSONL
+GENERATE_JSONL_DIGEST = "c4f1bf84e96096d20b27bfcc0fa34cb15dc6c1e578389dac611cb2b364864555"
+
+
+def generate_digest(capsys, *extra):
+    h = hashlib.sha256()
+    for triple, count in GENERATE_DIGEST_REQUESTS:
+        code, out, err = run(capsys, "generate", "--triple", triple, "--count", str(count), *extra)
+        assert (code, err) == (0, ""), triple
+        h.update(out.encode())
+    return h.hexdigest()
+
+
 def test_generate_output_is_pinned(capsys):
     # every family's CSV rows, byte for byte: a refactor of the family
     # layer must not move a single member
-    h = hashlib.sha256()
-    for triple, count in GENERATE_DIGEST_REQUESTS:
-        code, out, err = run(capsys, "generate", "--triple", triple, "--count", str(count))
-        assert (code, err) == (0, ""), triple
-        h.update(out.encode())
-    assert h.hexdigest() == GENERATE_DIGEST
+    assert generate_digest(capsys) == GENERATE_DIGEST
+
+
+def test_generate_jsonl_is_pinned(capsys):
+    assert generate_digest(capsys, "--format", "jsonl") == GENERATE_JSONL_DIGEST
 
 
 # the bijective and fibonacci generate requests of the tables benchmark workload
@@ -249,6 +262,30 @@ def test_generate_other_systems_jsonl_is_pinned(capsys):
         assert (code, err) == (0, ""), system
         h.update(out.encode())
     assert h.hexdigest() == OTHER_SYSTEMS_JSONL_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    [
+        ("search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 20", "2,3,1,18,49,7,(7)\r\n"),
+        ("search --q 2 --n 2 --l 3 --b-lo 2 --b-hi 5", '2,2,3,5,84,56,"(2,1,1)"\r\n'),
+        ("generate --triple 2,2,6 --count 3 --system bijective", '2,6,65,"(1,1,1,1,2,1)"\r\n'),
+        ("generate --triple 2,2,1 --count 3 --system fibonacci", "1,5236,100001010010010000\r\n"),
+        ("generate --triple 2,3,2 --count 46", '"\r\n'),
+    ],
+    ids=["search-one-digit", "search-digits", "bijective", "fibonacci", "member-46"],
+)
+def test_csv_bytes_are_csv_writers(capsys, argv, expect):
+    # csv.writer is only the oracle here: every row keeps the header's
+    # width (an unquoted comma would split a cell) and rewrites to the
+    # very bytes printed (a needless quote would not survive)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "") and expect in out
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert {len(r) for r in rows} == {len(rows[0])}
+    oracle = io.StringIO()
+    csv.writer(oracle).writerows(rows)
+    assert oracle.getvalue() == out
 
 
 def test_generate_no_family(capsys):
