@@ -251,6 +251,22 @@ def _trial_divide(n: int, out: dict[int, int]) -> int:
     return n
 
 
+def root_step(g: int, q: int) -> int:
+    """The least y >= 1 with g | y**q, or a divisor of it; never runs rho.
+
+    That least y is the product of p**ceil(e/q) over the primes p**e of
+    g.  After trial division, a cofactor below the limit's square or a
+    probable prime is one prime to the first power and joins the step;
+    any other cofactor is dropped, which leaves a divisor.
+    """
+    primes: dict[int, int] = {}
+    rest = _trial_divide(g, primes)
+    step = math.prod(p ** -(-e // q) for p, e in primes.items())
+    if rest < _TRIAL_LIMIT**2 or is_probable_prime(rest):
+        step *= rest
+    return step
+
+
 def _finish(n: int, out: dict[int, int], deadline: _Deadline) -> None:
     """Factor a trial-division cofactor n into out."""
     # each entry (m, e) stands for m**e; every prime of m is above the

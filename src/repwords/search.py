@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import operator
 import os
 import random
@@ -37,7 +38,7 @@ from functools import cache, cached_property, partial
 from itertools import count
 
 from .arith import ceil_root, iroot
-from .factoring import FactorBudgetError, check_budget, is_probable_prime, open_defects
+from .factoring import FactorBudgetError, check_budget, is_probable_prime, open_defects, root_step
 from .triples import Triple
 from .words import (
     System,
@@ -563,6 +564,13 @@ def search_fib_powers(q: int, n: int, y_max: int) -> list[tuple[int, Word]]:
     y**q * num/den exceeds y**q * mul/2**s by less than 1, so U0' is U0
     or U0 - 1, and U lies in U0' + {-1, 0, 1, 2}.  Every y passing the
     test for those four is re-encoded exactly before it is reported.
+
+    Every match has g = gcd(A, B) dividing y**q = A*U + B*U', so y is a
+    multiple of step = prod p**ceil(e/q) over the primes p**e of g
+    (factoring.root_step, by trial division; a divisor of that step if
+    g keeps a composite leftover), and the scan walks only those y.  No
+    candidate is lost: the test above reads y**q = A*(U0' + d) mod B,
+    which already forces g | y**q, so it rejects every y skipped.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -570,22 +578,32 @@ def search_fib_powers(q: int, n: int, y_max: int) -> list[tuple[int, Word]]:
         raise ValueError(f"n must be >= 2, got {n}")
     out = []
     for k in count(1):
-        y_lo = max(2, ceil_root(fibonacci(n * k + 1), q))
+        y_lo, y_hi, a, b, s, mul, hits, step = _fib_block(q, n, k, y_max)
         if y_lo >= y_max:
             return out
-        top = fibonacci(n * k + 2)
-        y_hi = min(y_max, ceil_root(top, q))
-        a = sum(fibonacci(i * k + 1) for i in range(n))
-        b = sum(fibonacci(i * k) for i in range(n))
-        m = n * k + 4
-        num, den = fibonacci(m + 1), a * fibonacci(m + 1) + b * fibonacci(m)
-        s = top.bit_length()
-        mul = (num << s) // den
-        # residues of y**q - A*U0' that leave U in U0' + {-1, 0, 1, 2}
-        hits = {d * a % b for d in (-1, 0, 1, 2)}
-        for y in range(y_lo, y_hi):
+        for y in range(-(-y_lo // step) * step, y_hi, step):
             v = y**q
             if (v - a * ((v * mul) >> s)) % b in hits:
                 u = split_repetition(to_zeckendorf(v), n)
                 if u is not None:
                     out.append((y, u))
+
+
+def _fib_block(q: int, n: int, k: int, y_max: int) -> tuple:
+    """Scan set-up of block length k: (y_lo, y_hi, a, b, s, mul, hits, step).
+
+    The block's y run over y_lo <= y < y_hi, and search_fib_powers tests
+    the multiples of step among them; its docstring derives the rest.
+    """
+    y_lo = max(2, ceil_root(fibonacci(n * k + 1), q))
+    top = fibonacci(n * k + 2)
+    y_hi = min(y_max, ceil_root(top, q))
+    a = sum(fibonacci(i * k + 1) for i in range(n))
+    b = sum(fibonacci(i * k) for i in range(n))
+    m = n * k + 4
+    num, den = fibonacci(m + 1), a * fibonacci(m + 1) + b * fibonacci(m)
+    s = top.bit_length()
+    mul = (num << s) // den
+    # residues of y**q - A*U0' that leave U in U0' + {-1, 0, 1, 2}
+    hits = {d * a % b for d in (-1, 0, 1, 2)}
+    return y_lo, y_hi, a, b, s, mul, hits, root_step(math.gcd(a, b), q)

@@ -16,6 +16,7 @@ from repwords.factoring import (
     factor_quotient,
     is_probable_prime,
     primes_upto,
+    root_step,
 )
 
 # frozen oracle: small factorizations checked by hand multiplication
@@ -382,3 +383,33 @@ def test_factor_roundtrip_large(n):
     f = factor(n)
     assert math.prod(p**e for p, e in f.factors) == n
     assert all(is_probable_prime(p) for p, _ in f.factors)
+
+
+def _least_root(g, q):
+    # the least y0 with g | y0**q divides g (gcd(y0, g) works as well)
+    return next(d for d in range(1, g + 1) if g % d == 0 and pow(d, q, g) == 0)
+
+
+def test_root_step_is_the_least_root_multiple():
+    for g in range(1, 3_001):
+        for q in range(2, 6):
+            assert root_step(g, q) == _least_root(g, q), (g, q)
+
+
+def test_root_step_never_runs_rho(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho or factor called")
+
+    monkeypatch.setattr(factoring, "_brent_cycle", refuse)
+    monkeypatch.setattr(factoring, "factor", refuse)
+    p1, p2 = 10_007, 1_000_003  # both above the trial limit
+    big = 2**89 - 1  # a Mersenne prime
+    for q in (2, 3, 5):
+        # a composite leftover past trial division is dropped: a divisor
+        step = root_step(2**5 * 3 * p1 * p2, q)
+        exact = 2 ** -(-5 // q) * 3 * p1 * p2
+        assert exact % step == 0 and step == 2 ** -(-5 // q) * 3
+        assert root_step(p1 * p1, q) == 1
+        # a leftover below the limit's square, or a probable prime, joins
+        assert root_step(4 * p1 * 9_973, q) == 2 * p1 * 9_973
+        assert root_step(6 * big, q) == 6 * big

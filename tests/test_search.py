@@ -5,6 +5,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -55,6 +56,7 @@ from repwords.words import (
     to_canonical,
     to_zeckendorf,
     word_value,
+    zeckendorf_word,
 )
 
 
@@ -1252,6 +1254,77 @@ def test_fib_powers_at_block_edges(q, n, k_max):
     edges = [ceil_root(fibonacci(n * k + j), q) for k in range(1, k_max + 1) for j in (1, 2)]
     want = brute_fib_powers(q, n, max(edges) + 2)
     for y_max in sorted({e + d for e in edges for d in (-1, 0, 1)}):
+        assert search_fib_powers(q, n, y_max) == [(y, u) for y, u in want if y < y_max], y_max
+
+
+def _block_words(k):
+    """Every length-k Zeckendorf word that can be a repeated block: a
+    leading 1, no two adjacent 1s, a trailing 0."""
+    words = [(1,)] if k >= 2 else []
+    for _ in range(k - 2):
+        words = [w + (0,) for w in words] + [w + (1,) for w in words if w[-1] == 0]
+    return [w + (0,) for w in words]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fib_block_filter_passes_every_block_word(n):
+    # the filter alone, over every word u^n rather than over q-th powers:
+    # g | V, V passes the residue test, and the step is g's least q-th root multiple
+    seen = 0
+    for k in range(1, 16):
+        _, _, a, b, s, mul, hits, _ = search._fib_block(2, n, k, 10**30)
+        g = math.gcd(a, b)
+        for q in (2, 3):
+            step = search._fib_block(q, n, k, 10**30)[-1]
+            assert step == next(d for d in range(1, g + 1) if pow(d, q, g) == 0), (n, k, q)
+        for u in _block_words(k):
+            v = word_value(zeckendorf_word(u * n))
+            assert fibonacci(n * k + 1) <= v < fibonacci(n * k + 2)
+            assert v % g == 0, (n, u)
+            assert (v - a * ((v * mul) >> s)) % b in hits, (n, u)
+            seen += 1
+    assert seen == sum(fibonacci(k - 1) for k in range(2, 16))  # F(k-1) words of length k
+
+
+def _count_encodes(monkeypatch):
+    calls = Counter()
+    real = search.to_zeckendorf
+
+    def spy(v):
+        calls["encode"] += 1
+        return real(v)
+
+    monkeypatch.setattr(search, "to_zeckendorf", spy)
+    return calls
+
+
+# re-encodes and results at the commit before the scan walked multiples of
+# the step: the candidates are the same y, only fewer y are tested
+@pytest.mark.parametrize(
+    "q,n,y_max,encodes,found",
+    [(2, 2, 1_504_255, 103, 13), (4, 2, 5_040, 3, 2), (2, 3, 5_040, 9, 0),
+     (2, 2, 34_000_000, 139, 22)],
+)
+def test_fib_scan_re_encodes_the_same_candidates(q, n, y_max, encodes, found, monkeypatch):
+    calls = _count_encodes(monkeypatch)
+    assert len(search_fib_powers(q, n, y_max)) == found
+    assert calls["encode"] == encodes
+
+
+@pytest.mark.parametrize("q,n,k_max", [(2, 2, 16), (2, 3, 12)])
+def test_fib_powers_truncated_inside_stepped_blocks(q, n, k_max):
+    # stop the scan just before, at and just after the first and the last
+    # multiple of the step in each block whose step is above 1
+    cuts = set()
+    for k in range(1, k_max + 1):
+        y_lo, y_hi, *_, step = search._fib_block(q, n, k, 10**30)
+        if step > 1:
+            first = -(-y_lo // step) * step
+            last = (y_hi - 1) // step * step
+            cuts |= {m + d for m in (first, last) for d in (-1, 0, 1) if m >= y_lo}
+    assert len(cuts) >= 12
+    want = brute_fib_powers(q, n, max(cuts) + 1)
+    for y_max in sorted(cuts):
         assert search_fib_powers(q, n, y_max) == [(y, u) for y, u in want if y < y_max], y_max
 
 
