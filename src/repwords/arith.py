@@ -14,6 +14,8 @@ def iroot(x: int, q: int) -> tuple[int, bool]:
     """(floor(x ** (1/q)), exact) for x >= 0, q >= 1.
 
     The second component reports whether x is a perfect q-th power.
+    Integer Newton's iteration from an overestimate never goes below the
+    floor root and decreases strictly above it, so it stops exactly there.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -27,18 +29,13 @@ def iroot(x: int, q: int) -> tuple[int, bool]:
     if q >= x.bit_length():
         # 2 ** q > x already, so the floor root is 1
         return 1, False
-    # Newton iteration from a power-of-two overestimate, then correct.
+    # Newton iteration from a power-of-two overestimate: 2**(q*ceil(bits/q)) > x
     r = 1 << -(-x.bit_length() // q)
     while True:
         nr = ((q - 1) * r + x // r ** (q - 1)) // q
         if nr >= r:
-            break
+            return r, r ** q == x
         r = nr
-    while r ** q > x:
-        r -= 1
-    while (r + 1) ** q <= x:
-        r += 1
-    return r, r ** q == x
 
 
 def ceil_root(x: int, q: int) -> int:

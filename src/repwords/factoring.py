@@ -36,6 +36,7 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 from .arith import iroot
 
@@ -430,12 +431,13 @@ def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[tuple[tuple[tuple, in
     """For each base b in lo..hi, the cached (prime powers, cofactor) entry
     of each piece Phi_d(b) of the quotient, d in _piece_orders(n, l).
 
-    Each (d, b) is looked up once in the piece cache.  Only the missing
-    values are evaluated and sieved: for each prime p <= min(B,
-    isqrt(Phi_d(b_max))) of _residue_primes(d) (B the trial limit, b_max
-    the largest missing base) and each of its roots r, the bases
-    b == r (mod p) are divided by p fully.  Every prime of what is left
-    exceeds that bound, so a cofactor below B**2 is 1 or a prime.
+    Each column d is fetched from the piece cache in one pass, each (d, b)
+    looked up once.  Only the missing values are evaluated and sieved:
+    for each prime p <= min(B, isqrt(Phi_d(b_max))) of _residue_primes(d)
+    (B the trial limit, b_max the largest missing base) and each of its
+    roots r, the bases b == r (mod p) are divided by p fully.  Every
+    prime of what is left exceeds that bound, so a cofactor below B**2 is
+    1 or a prime.
     """
     if lo < 2:
         raise ValueError(f"base must be >= 2, got {lo}")
@@ -444,7 +446,7 @@ def sieve_pieces(lo: int, hi: int, n: int, l: int) -> list[tuple[tuple[tuple, in
     bases = range(lo, hi + 1)
     columns = []
     for d in _piece_orders(n, l):
-        entries = [_piece_cache.get((d, b)) for b in bases]
+        entries = list(map(_piece_cache.get, zip(repeat(d), bases)))
         if None in entries:
             _sieve(d, lo, entries)
         columns.append(entries)
@@ -579,28 +581,37 @@ def defect_reaches(n: int, l: int, q: int, limit: int, pieces: tuple) -> bool:
     no prime unless it divides n*l, so this needs n*l < B: then each
     other prime's part is multiplied in as its piece comes, only the
     primes of n*l are summed over the pieces, and the exact part, which
-    only grows, decides the base as soon as it reaches limit.
+    only grows, decides the base as soon as it reaches limit.  A small
+    cofactor p not dividing n*l is multiplied in as p**(q-1); the dict of
+    shared primes and the tuple of large cofactors are built only when a
+    base meets a prime of n*l or a cofactor of at least B**2.
     """
     nl = n * l
     if nl >= _TRIAL_LIMIT:
         return False
     exact = 1
-    shared: dict[int, int] = {}
-    large = []
+    shared: dict[int, int] | None = None
+    large = ()
     for powers, cofactor in pieces:
         if cofactor >= _TRIAL_LIMIT * _TRIAL_LIMIT:
-            large.append(cofactor)
+            large += (cofactor,)
         elif cofactor > 1:
-            powers += ((cofactor, 1),)
+            if nl % cofactor:
+                exact *= cofactor ** (q - 1)
+            else:
+                powers += ((cofactor, 1),)
         for p, e in powers:
             if nl % p:
                 exact *= p ** (-e % q)
+            elif shared is None:
+                shared = {p: e}
             else:
                 shared[p] = shared.get(p, 0) + e
         if exact >= limit:
             return True
-    for p, e in shared.items():
-        exact *= p ** (-e % q)
+    if shared:
+        for p, e in shared.items():
+            exact *= p ** (-e % q)
     bound = exact
     for m in large:
         if bound >= limit:

@@ -1,5 +1,7 @@
 """Integer roots and quadratic-ring arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,25 @@ def test_iroot_exact_and_floor():
     big = (10**40 + 7) ** 5
     assert iroot(big, 5) == (10**40 + 7, True)
     assert iroot(big - 1, 5) == (10**40 + 7 - 1, False)
+
+
+def test_iroot_matches_a_brute_force_root():
+    # Newton's iteration alone must land on the floor root: every small x
+    # against a search, and large x against the defining inequality
+    for q in range(1, 14):
+        r = 0
+        for x in range(4096):
+            while (r + 1) ** q <= x:
+                r += 1
+            assert iroot(x, q) == (r, r**q == x), (x, q)
+    rng = random.Random(31)
+    for q in range(3, 10):
+        for _ in range(60):
+            x = rng.getrandbits(rng.randint(64, 4000)) | 1 << 63
+            r, exact = iroot(x, q)
+            assert r**q <= x < (r + 1) ** q
+            assert exact == (r**q == x)
+            assert iroot(r**q, q) == (r, True)
 
 
 def test_iroot_rejects_bad_input():

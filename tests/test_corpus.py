@@ -159,6 +159,12 @@ def test_word_digits_must_fit_base(tmp_path):
     p.write_text("q,n,l,b,y,c,w\n2,3,1,18,49,19,(19)\n")
     with pytest.raises(MalformedCorpusError):
         load_corpus(p)
+    # a bijective pattern digit must lie in 1..b, in a block or a tail
+    for y_pattern, digit in (("(3:2n+2)8", 8), ("(0:n)3", 0)):
+        p.write_text(f'b,row,y_pattern,w_pattern\n7,1,"{y_pattern}","(15:n+1)2"\n')
+        want = rf"^badword:2: digit {digit} outside 1\.\.7$"
+        with pytest.raises(MalformedCorpusError, match=want):
+            load_corpus(p)
 
 
 def test_report_formatting(tmp_path):

@@ -293,6 +293,71 @@ def test_defect_bound_never_exceeds_the_defect(monkeypatch):
     assert {(4, 2, 4), (3, 5, 1), (3, 2, 4)} <= decided
 
 
+def _parent_defect_reaches(n, l, q, limit, pieces):
+    # defect_reaches as written with an eager shared dict and large list,
+    # each small cofactor appended to its piece's primes: the oracle that
+    # the allocation-free version must agree with
+    B = factoring._TRIAL_LIMIT
+    nl = n * l
+    if nl >= B:
+        return False
+    exact = 1
+    shared = {}
+    large = []
+    for powers, cofactor in pieces:
+        if cofactor >= B * B:
+            large.append(cofactor)
+        elif cofactor > 1:
+            powers += ((cofactor, 1),)
+        for p, e in powers:
+            if nl % p:
+                exact *= p ** (-e % q)
+            else:
+                shared[p] = shared.get(p, 0) + e
+        if exact >= limit:
+            return True
+    for p, e in shared.items():
+        exact *= p ** (-e % q)
+    bound = exact
+    for m in large:
+        if bound >= limit:
+            return True
+        bound *= factoring._cheap_share(m, q)
+    if bound >= limit or not large:
+        return bound >= limit
+    for m in large:
+        exact *= factoring._least_share(m, q)
+    return exact >= limit
+
+
+# the shape-decided bases of test_search.SHAPE_DECIDED, as (q, n, l), bases
+SHAPE_BASES = [
+    ((3, 5, 1), (10_005, 10_007, 10_010, 10_012, 10_023, 10_027)),
+    ((2, 3, 1), (10_008, 10_011, 10_029, 10_034)),
+    ((3, 3, 3), (102,)),
+    ((2, 4, 2), (515,)),
+]
+
+
+def test_defect_bound_matches_the_eager_version(monkeypatch):
+    # the same verdict at the scan's limit b**l and at b**(2l) on every
+    # base of the sweep triples, on windows whose cofactors pass B**2, on
+    # the shape-decided bases, and on lone small bases, whose narrow sieve
+    # leaves cofactors that divide n*l (Phi_2(2) = 3 with n*l = 6)
+    windows = [(t, 2, 1_600) for t in DEFECT_TRIPLES[:17]]
+    windows += [(t, 9_990, 10_060) for t in ((3, 5, 1), (2, 5, 2), (4, 2, 4))]
+    windows += [(t, b, b) for t, bases in SHAPE_BASES for b in bases]
+    windows += [(t, b, b) for t in DEFECT_TRIPLES[:17] for b in range(2, 41)]
+    monkeypatch.setattr(factoring, "_piece_cache", OrderedDict())
+    for (q, n, l), lo, hi in windows:
+        if hi == lo:
+            factoring._piece_cache.clear()
+        for b, row in zip(range(lo, hi + 1), factoring.sieve_pieces(lo, hi, n, l)):
+            for limit in (b**l, b ** (2 * l)):
+                want = _parent_defect_reaches(n, l, q, limit, row)
+                assert factoring.defect_reaches(n, l, q, limit, row) == want, (q, n, l, b)
+
+
 # primes just above the trial limit B = 10,000
 P, R, S, T = 10_007, 10_009, 10_037, 10_039
 

@@ -485,6 +485,11 @@ def test_checkpoint_roundtrip(tmp_path):
     again = load_checkpoint(path, expect=t)
     assert again == cp
     assert again.completed == ((2, 100),)
+    # blank and blank-looking lines between records are skipped
+    spaced = tmp_path / "spaced.jsonl"
+    with open(path) as fh:
+        spaced.write_text(fh.read().replace("\n", "\n\n \t\n"))
+    assert load_checkpoint(str(spaced), expect=t) == cp
     # integers live as decimal strings on disk
     with open(path) as fh:
         for line in fh:

@@ -172,6 +172,21 @@ def test_zeckendorf_roundtrip(x):
     assert all(a * b_ == 0 for a, b_ in zip(w.digits, w.digits[1:]))
 
 
+def test_zeckendorf_past_every_cached_fibonacci_number():
+    # x above the largest cached F(i) makes to_zeckendorf extend the cache;
+    # the greedy encoding over a Fibonacci list built here is the oracle
+    x = words._FIBS[-1] ** 2 + 12_345
+    fibs = [1, 2]
+    while fibs[-1] <= x:
+        fibs.append(fibs[-1] + fibs[-2])
+    bits, rest = [], x
+    for f in reversed(fibs[:-1]):
+        bits.append(int(f <= rest))
+        rest -= f * bits[-1]
+    assert to_zeckendorf(x).digits == tuple(bits)
+    assert words._FIBS[-1] > x
+
+
 @given(st.integers(min_value=2, max_value=1000), st.integers(min_value=2, max_value=36))
 def test_bijective_distinct_up_to_bound(n, b):
     # bijectivity on an initial segment: distinct values, distinct words
