@@ -26,7 +26,7 @@ from .factoring import FactorBudgetError, factor_quotient
 from .families import family, gen_bijective_square, gen_fibonacci_family, is_admissible
 from .search import CheckpointError, search_range
 from .triples import F_value, Triple
-from .words import System, render_word, to_bijective, to_canonical, to_zeckendorf
+from .words import System, parse_decimal, render_word, to_bijective, to_canonical, to_zeckendorf
 
 
 def _parse_triple(text: str) -> Triple:
@@ -109,19 +109,23 @@ def _cmd_factor(args) -> int:
 
 def _cmd_repr(args) -> int:
     system = System.ZECKENDORF if args.system == "fibonacci" else System(args.system)
-    if args.x < 0:
+    try:
+        x = int(args.x)
+    except ValueError:  # int() refuses more than 4300 digits
+        x = parse_decimal(args.x)
+    if x < 0:
         raise ValueError("--x must be >= 0")
     if system is System.ZECKENDORF:
         if args.base not in (None, 2):
             raise ValueError("the Fibonacci system has no base parameter")
-        word = to_zeckendorf(args.x)
+        word = to_zeckendorf(x)
     else:
         if args.base is None or args.base < 2:
             raise ValueError("--base must be >= 2")
         if system is System.CANONICAL:
-            word = to_canonical(args.x, args.base)
+            word = to_canonical(x, args.base)
         else:
-            word = to_bijective(args.x, args.base)
+            word = to_bijective(x, args.base)
     print(render_word(word))
     return 0
 
@@ -185,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("repr", help="digit word of an integer in one system")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", required=True)
     p.add_argument("--base", type=int, default=None)
     p.add_argument(
         "--system",

@@ -12,23 +12,22 @@ digit alphabet and weights:
 Every nonnegative integer has exactly one canonical and one Zeckendorf
 word, every positive integer exactly one bijective word.
 
-Canonical and bijective words of any length are converted by divide and
-conquer: a number of more than about 128 digits is split by a cached
-ladder of powers of its base into machine-size leaves, and word_value
-merges K-digit limbs in pairs by the same ladder, so no step walks the
-whole number once per digit.  The bijective word of x is the canonical
-word of x - R_k, zero-padded to k digits, with 1 added to every digit,
-where R_k = (b^k - 1)/(b - 1) <= x < R_(k+1).  No conversion goes through
-str, so Python's int/str digit limit never applies.  Decimal text, the
-cell format of tables and checkpoints, is split top-down too: into
-4,000-digit leaves for int(), and, the other way, into bit blocks merged
-by exact multiplication in the decimal module.
+Conversions at any length are divide and conquer over a cached ladder of
+powers, so no step walks the whole number once per digit.  A number of
+more than about 128 digits is split into machine-size leaves by the
+ladder of its base.  Every conversion into a number is one merge,
+_merge: limbs, least significant first, are added in pairs by the ladder
+of their weight, so a word merges K-digit limbs, decimal text 4,000-digit
+int() leaves, and a large number's decimal text is built from exact
+Decimals of its bit slices.  The bijective word of x comes from its
+canonical digits: each digit at or below 0 borrows one from the digit
+above, and a 0 left on top is dropped.  No conversion goes through str
+beyond its 4300-digit limit.
 """
 
 from __future__ import annotations
 
 import decimal
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -56,13 +55,6 @@ def fibonacci(i: int) -> int:
     while len(_FIBS) <= i:
         _FIBS.append(_FIBS[-1] + _FIBS[-2])
     return _FIBS[i]
-
-
-def _fibs_through(x: int) -> list[int]:
-    # extend the shared cache until it covers x, return a view of it
-    while _FIBS[-1] <= x:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    return _FIBS
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,8 @@ def zeckendorf_word(digits: tuple[int, ...]) -> Word:
 # words Horner's rule.  A longer number is split top-down by the ladder
 # B, B**2, B**4, ... of its base, where B = base**K is the largest power of
 # the base below 2**62 (or the base itself), into K-digit leaves that the
-# same loop finishes; a longer word is merged up from K-digit limbs.
+# same loop finishes; a longer word is merged up from K-digit limbs by
+# _merge.
 _CUTOFF_DIGITS = 128
 # only numbers and words above the cutoff build a ladder, so few bases
 # ever hold one
@@ -143,6 +136,18 @@ def _rung(powers: dict[int, int], i: int) -> int:
     for j in range(len(powers), i + 1):
         powers[j] = powers[j - 1] ** 2
     return powers[i]
+
+
+def _merge(limbs: list, powers: dict) -> int | decimal.Decimal:
+    """Sum of limbs[j] * powers[0]**j, merged in pairs: level i joins each
+    pair by powers[i].  Limbs are ints, or Decimals in the _EXACT context."""
+    level = 0
+    while len(limbs) > 1:
+        p = _rung(powers, level)
+        top = limbs[-1:] if len(limbs) % 2 else []
+        limbs = [lo + hi * p for lo, hi in zip(limbs[::2], limbs[1::2])] + top
+        level += 1
+    return limbs[0]
 
 
 def _put_digits(x: int, base: int, out: list[int], width: int = 0) -> None:
@@ -203,18 +208,16 @@ def to_bijective(x: int, base: int) -> Word:
         raise ValueError(f"base must be >= 2, got {base}")
     if x < 1:
         raise ValueError("x must be >= 1")
-    # x has k digits when R_k <= x < R_(k+1) for R_k = (b**k - 1)/(b - 1),
-    # that is when b**k <= m < b**(k+1); they are those of x - R_k, plus 1
-    m = x * (base - 1) + 1
-    k = int(math.log(m, base))
-    p = base**k
-    while p > m:
-        k, p = k - 1, p // base
-    while p * base <= m:
-        k, p = k + 1, p * base
-    digits = _digits(x - (p - 1) // (base - 1), base)
-    digits += [0] * (k - len(digits))
-    return Word(System.BIJECTIVE, base, tuple([d + 1 for d in reversed(digits)]))
+    # canonical digits, least significant first: a digit at or below 0
+    # takes b and borrows one from the digit above
+    digits, borrow = _digits(x, base), False
+    for i, d in enumerate(digits):
+        d -= borrow
+        borrow = d <= 0
+        digits[i] = d + base if borrow else d
+    if borrow:  # the top digit was a 1 that lent its unit
+        digits.pop()
+    return Word(System.BIJECTIVE, base, tuple(reversed(digits)))
 
 
 def to_zeckendorf(x: int) -> Word:
@@ -223,7 +226,9 @@ def to_zeckendorf(x: int) -> Word:
         raise ValueError("x must be >= 0")
     if x == 0:
         return Word(System.ZECKENDORF, 2, ())
-    fibs = _fibs_through(x)
+    # F(i) >= phi**(i - 2) > 2**(2 * (i - 2) / 3), so this F(i) exceeds x
+    fibonacci(3 * x.bit_length() // 2 + 3)
+    fibs = _FIBS
     top = bisect_right(fibs, x) - 1
     digits = [0] * (top - 1)
     i = top
@@ -246,15 +251,7 @@ def word_value(w: Word) -> int:
     if len(d) <= _CUTOFF_DIGITS:
         return _horner(d, base)
     k, powers = _ladder(base)
-    # K-digit limbs, least significant first, then merged in pairs
-    limbs = [_horner(d[max(i - k, 0) : i], base) for i in range(len(d), 0, -k)]
-    level = 0
-    while len(limbs) > 1:
-        p = _rung(powers, level)
-        top = limbs[-1:] if len(limbs) % 2 else []
-        limbs = [lo + hi * p for lo, hi in zip(limbs[::2], limbs[1::2])] + top
-        level += 1
-    return limbs[0]
+    return _merge([_horner(d[max(i - k, 0) : i], base) for i in range(len(d), 0, -k)], powers)
 
 
 def repeat_word(w: Word, n: int) -> Word:
@@ -284,11 +281,13 @@ def split_repetition(w: Word, n: int) -> Word | None:
 
 # Decimal text at any size.  Numbers below 10**_SPLIT_DIGITS and texts of
 # at most _SPLIT_DIGITS digits go through C-level str() and int(), below
-# their 4300-digit limit.  A longer text splits top-down by the ladder
-# {i: 10**(_SPLIT_DIGITS * 2**i)}.  A larger number splits top-down by
-# bits and is merged in the decimal module by the ladder
-# {i: 2**(_LEAF_BITS * 2**i)} of exact Decimals: that multiplication is
-# subquadratic, where divmod by a power of ten is schoolbook.
+# their 4300-digit limit.  A longer text is cut into _SPLIT_DIGITS-digit
+# int() leaves from its end, which _merge joins by the ladder
+# {i: 10**(_SPLIT_DIGITS * 2**i)}.  A larger number is cut into
+# _LEAF_BITS-bit slices, and _merge joins their exact Decimals in the
+# decimal module by the ladder {i: 2**(_LEAF_BITS * 2**i)}: that
+# multiplication is subquadratic, where divmod by a power of ten is
+# schoolbook.
 _SPLIT_DIGITS = 4000
 _DECIMAL_RUNGS = {0: 10**_SPLIT_DIGITS}
 _LEAF_BITS = 16384
@@ -300,18 +299,11 @@ def format_decimal(x: int) -> str:
     """Decimal digits of x >= 0 at any size; str() stops at 4300 digits."""
     if x < _DECIMAL_RUNGS[0]:
         return str(x)
+    # byteorder is passed, since it has a default only from Python 3.11
+    raw, n = x.to_bytes((x.bit_length() + 7) // 8, "little"), _LEAF_BITS // 8
+    leaves = [int.from_bytes(raw[i : i + n], "little") for i in range(0, len(raw), n)]
     with decimal.localcontext(_EXACT):
-        return str(_to_decimal(x))
-
-
-def _to_decimal(x: int) -> decimal.Decimal:
-    n = x.bit_length()
-    if n <= _LEAF_BITS:
-        return decimal.Decimal(x)
-    # the low part is the longest block of _LEAF_BITS * 2**i bits
-    i = ((n - 1) // _LEAF_BITS).bit_length() - 1
-    w = _LEAF_BITS << i
-    return _to_decimal(x >> w) * _rung(_BINARY_RUNGS, i) + _to_decimal(x & ((1 << w) - 1))
+        return str(_merge(list(map(decimal.Decimal, leaves)), _BINARY_RUNGS))
 
 
 def parse_decimal(text: str) -> int:
@@ -320,7 +312,8 @@ def parse_decimal(text: str) -> int:
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid decimal {text[:32]!r} ({len(text)} characters)")
-    return _decimal_value(text)
+    n = _SPLIT_DIGITS
+    return _merge([int(text[max(i - n, 0) : i]) for i in range(len(text), 0, -n)], _DECIMAL_RUNGS)
 
 
 def parse_decimals(texts: list[str]) -> list[int]:
@@ -331,15 +324,6 @@ def parse_decimals(texts: list[str]) -> list[int]:
     if all(texts) and len(joined) <= _SPLIT_DIGITS and joined.isascii() and joined.isdigit():
         return list(map(int, texts))
     return list(map(parse_decimal, texts))
-
-
-def _decimal_value(text: str) -> int:
-    if len(text) <= _SPLIT_DIGITS:
-        return int(text)
-    # the low part is the longest block of _SPLIT_DIGITS * 2**i digits
-    i = ((len(text) - 1) // _SPLIT_DIGITS).bit_length() - 1
-    cut = len(text) - (_SPLIT_DIGITS << i)
-    return _decimal_value(text[:cut]) * _rung(_DECIMAL_RUNGS, i) + _decimal_value(text[cut:])
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")

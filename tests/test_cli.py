@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -490,7 +491,10 @@ def test_factor_rejects_negative_budget(capsys):
 
 
 def test_repr_systems(capsys):
+    # 5,000 digits, past the 4,300 that int() reads
+    big = "".join(random.Random(5_000).choices("123456789", k=5_000))
     for argv, expected in [
+        (f"repr --x {big} --base 10", f"({','.join(big)})@10"),
         ("repr --x 100 --base 3", "(1,0,2,0,1)@3"),
         ("repr --x 100 --base 3 --system bijective", "(3,1,3,1)@3"),
         ("repr --x 100 --system zeckendorf", "1000010100"),

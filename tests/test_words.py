@@ -175,16 +175,27 @@ def test_zeckendorf_roundtrip(x):
 def test_zeckendorf_past_every_cached_fibonacci_number():
     # x above the largest cached F(i) makes to_zeckendorf extend the cache;
     # the greedy encoding over a Fibonacci list built here is the oracle
+    def greedy(x):
+        fibs = [1, 2]
+        while fibs[-1] <= x:
+            fibs.append(fibs[-1] + fibs[-2])
+        bits, rest = [], x
+        for f in reversed(fibs[:-1]):
+            bits.append(int(f <= rest))
+            rest -= f * bits[-1]
+        return tuple(bits)
+
     x = words._FIBS[-1] ** 2 + 12_345
-    fibs = [1, 2]
-    while fibs[-1] <= x:
-        fibs.append(fibs[-1] + fibs[-2])
-    bits, rest = [], x
-    for f in reversed(fibs[:-1]):
-        bits.append(int(f <= rest))
-        rest -= f * bits[-1]
-    assert to_zeckendorf(x).digits == tuple(bits)
+    assert to_zeckendorf(x).digits == greedy(x)
     assert words._FIBS[-1] > x
+    # on a cleared cache, the index to_zeckendorf asks for must pass x
+    f = [0, 1]
+    while len(f) <= 400:
+        f.append(f[-1] + f[-2])
+    for k in range(3, 401):
+        for x in (f[k] - 1, f[k], f[k] + 1):
+            del words._FIBS[4:]
+            assert to_zeckendorf(x).digits == greedy(x), (k, x)
 
 
 @given(st.integers(min_value=2, max_value=1000), st.integers(min_value=2, max_value=36))
@@ -270,7 +281,8 @@ def test_converters_at_100k_digits():
     assert word_value(repeat_word(w, 200)) == x
 
 
-@pytest.mark.parametrize("length", [1, 3_999, 4_000, 4_001, 8_001, 200_000])
+# 12,001 and 20,001 digits are 3 and 6 leaves: each merge carries an odd top leaf
+@pytest.mark.parametrize("length", [1, 3_999, 4_000, 4_001, 8_001, 12_001, 20_001, 200_000])
 def test_decimal_text_round_trips(length):
     rng = random.Random(length)
     text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1))
@@ -286,10 +298,14 @@ def test_decimal_text_round_trips(length):
 
 
 def test_format_decimal_at_bit_splits():
-    # numbers are split by bits at multiples of 2**14
+    # numbers are cut into leaves of 2**14 bits: 2**(3 * 2**14) + 1 has zero
+    # middle leaves, and the random value has 5 leaves
+    five = random.Random(5).getrandbits(5 * 2**14) | 1 << (5 * 2**14 - 1)
+    values = [2 ** (3 * 2**14) + 1, five]
     for e in (2**14, 2**15, 2**16, 3 * 2**15):
-        for v in (2**e - 1, 2**e, 2**e + 1, 2**e * 12345):
-            assert format_decimal(v) == "".join(map(str, to_canonical(v, 10).digits))
+        values += (2**e - 1, 2**e, 2**e + 1, 2**e * 12345)
+    for v in values:
+        assert format_decimal(v) == "".join(map(str, to_canonical(v, 10).digits))
 
 
 def test_ladder_cache_is_bounded():
