@@ -7,7 +7,7 @@ results stay exact at any operand size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 
 def iroot(x: int, q: int) -> tuple[int, bool]:
@@ -46,13 +46,52 @@ def ceil_root(x: int, q: int) -> int:
     return r if exact else r + 1
 
 
-@dataclass(frozen=True)
-class QuadInt:
+def _by_fields(op):
+    # compares two records of one class by their fields, as op compares tuples
+    return lambda a, b: op(a._key(a), b._key(b)) if b.__class__ is a.__class__ else NotImplemented
+
+
+class Frozen:
+    """Immutable record.  A subclass names its fields in __slots__ (a name with a leading _
+    is no field) and gets an __init__ over them that runs __post_init__, if it has one.
+    Class keywords give defaults; order=True adds <, <=, >, >= by the tuple of fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, **defaults) -> None:
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        args = ", ".join(f"{f}=defaults[{f!r}]" if f in defaults else f for f in fields)
+        body = "".join(f"put(self, {f!r}, {f}); " for f in fields)
+        post = "self.__post_init__()" if hasattr(cls, "__post_init__") else "pass"
+        ns = {"put": object.__setattr__, "defaults": defaults}
+        exec(f"def __init__(self, {args}): {body}{post}", ns)  # as namedtuple builds __new__
+        cls.__init__, cls._key = ns["__init__"], operator.attrgetter(*fields)
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        for op in ("__lt__", "__le__", "__gt__", "__ge__") if order else ():
+            setattr(cls, op, _by_fields(getattr(operator, op)))
+
+    __eq__ = _by_fields(operator.eq)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # through __init__: pickle's default for slots calls __setattr__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class QuadInt(Frozen):
     """Element a + b*sqrt(d) of the ring Z[sqrt(d)], d >= 2 nonsquare."""
 
-    a: int
-    b: int
-    d: int
+    __slots__ = ("a", "b", "d")
 
     def __post_init__(self) -> None:
         if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:

@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 verification or
 operation failure (the factoring budget runs out, or an OSError such as
-an unusable --checkpoint path), 2 usage error, 3 checkpoint error.  The
-verbs only raise; ``main`` alone maps their errors to exit codes.
+an unusable --checkpoint path), 2 usage error, 3 checkpoint error, 141
+(128 + SIGPIPE) a reader that closed stdout early, with nothing printed.
+The verbs only raise; ``main`` alone maps their errors to exit codes.
 InvariantError, FamilyError included, is a bug, not a usage error: it
 propagates as a traceback (Python's exit 1).
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
+from contextlib import suppress
 
 from .corpus import (
     builtin_corpora,
@@ -208,6 +211,10 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout to devnull: the flush at exit cannot fail again
+        with suppress(OSError):  # a capsys or StringIO stdout has no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FactorBudgetError, OSError) as exc:  # an operation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1

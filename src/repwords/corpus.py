@@ -28,10 +28,10 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .arith import Frozen
 from .search import SolutionRecord, check_solution
 from .words import (
     System,
@@ -52,33 +52,22 @@ class MalformedCorpusError(ValueError):
     """A corpus file that cannot even be parsed into rows."""
 
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(Frozen):
     """One parametric family: digit patterns for y and w, linear in n."""
 
-    base: int
-    row: int
-    y_pattern: str
-    w_pattern: str
+    __slots__ = ("base", "row", "y_pattern", "w_pattern")
 
 
-@dataclass(frozen=True)
-class TableCorpus:
-    name: str
-    kind: str  # "solutions" | "zeckendorf-squares" | "bijective-patterns"
-    rows: tuple
+class TableCorpus(Frozen):
+    __slots__ = ("name", "kind", "rows")  # kind: solutions, zeckendorf-squares, bijective-patterns
 
 
-@dataclass(frozen=True)
-class RowResult:
-    label: str
-    failure: str | None
+class RowResult(Frozen):
+    __slots__ = ("label", "failure")  # failure: None when the row holds
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    corpus: str
-    results: tuple[RowResult, ...]
+class CorpusReport(Frozen):
+    __slots__ = ("corpus", "results")  # results: a tuple of RowResult
 
     @property
     def ok(self) -> bool:

@@ -34,11 +34,10 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 
-from .arith import iroot
+from .arith import Frozen, iroot
 
 _TRIAL_LIMIT = 10_000
 
@@ -222,11 +221,10 @@ def _find_factor(n: int, deadline: _Deadline) -> int:
         deadline.check()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Prime factorization as ((p1, e1), ...) with p1 < p2 < ..."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
     def __post_init__(self) -> None:
         ps = [p for p, _ in self.factors]
@@ -298,11 +296,10 @@ def factor(x: int, *, budget_ms: int | None = None) -> Factorization:
     return Factorization(tuple(sorted(out.items())))
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Frozen):
     """Integer polynomial, coefficients in ascending degree order."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __post_init__(self) -> None:
         if self.coeffs and self.coeffs[-1] == 0:

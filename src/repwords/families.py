@@ -25,23 +25,16 @@ steps are found by iterating to the first unit power congruent to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import count as _count
 from math import isqrt
 from typing import Callable, Iterator
 
-from .arith import QuadInt, ceil_root, unit_order
+from .arith import Frozen, QuadInt, ceil_root, unit_order
 from .factoring import is_probable_prime
 from .search import InvariantError, SolutionRecord, checked_record
 from .triples import Triple
-from .words import (
-    Word,
-    bijective_word,
-    fibonacci,
-    word_value,
-    zeckendorf_word,
-)
+from .words import Word, bijective_word, fibonacci, word_value, zeckendorf_word
 
 # The only three rings that occur, with their fundamental units > 1.
 FUNDAMENTAL_UNITS = {
@@ -59,19 +52,15 @@ class FamilyError(InvariantError):
     """A family's defining invariants do not hold: a bug, as a solver's are."""
 
 
-@dataclass(frozen=True)
-class NormFamily:
+class NormFamily(Frozen, modulus=1):
     """Orbit seed * unit**(step * k), k >= 0, in the seed's ring and norm.
 
     The unit grows (a, b > 0), so each step grows a positive member.
-    Every member stays in the seed's class mod `modulus`, which requires
-    unit**step == 1 mod modulus.
+    Every member stays in the seed's class mod `modulus` (default 1),
+    which requires unit**step == 1 mod modulus.
     """
 
-    seed: QuadInt
-    unit: QuadInt
-    step: int
-    modulus: int = 1
+    __slots__ = ("seed", "unit", "step", "modulus")
 
     def __post_init__(self) -> None:
         if self.unit.d != self.seed.d:

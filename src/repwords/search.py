@@ -33,11 +33,10 @@ import re
 import tempfile
 import time
 from contextlib import ExitStack, closing
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import count
 
-from .arith import ceil_root, iroot
+from .arith import Frozen, ceil_root, iroot
 from .factoring import FactorBudgetError, check_budget, is_probable_prime, open_defects, root_step
 from .triples import Triple
 from .words import (
@@ -65,17 +64,10 @@ class InvariantError(RuntimeError):
     """A solver produced a result that fails its own exact check."""
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(Frozen):
     """One solution (y, c, w) of the power equation at base b."""
 
-    q: int
-    n: int
-    l: int
-    b: int
-    y: int
-    c: int
-    w: Word
+    __slots__ = ("q", "n", "l", "b", "y", "c", "w", "__dict__")  # __dict__ holds _checkpoint_line
 
     @property
     def triple(self) -> Triple:
@@ -202,14 +194,10 @@ def brute_solutions_for_base(t: Triple, b: int) -> list[SolutionRecord]:
 # checkpointing
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Frozen):
     """Progress of one range search: what is done and what was found."""
 
-    triple: Triple
-    completed: tuple[tuple[int, int], ...]
-    solutions: tuple[SolutionRecord, ...]
-    unresolved: tuple[int, ...]
+    __slots__ = ("triple", "completed", "solutions", "unresolved")
 
     def normalized(self) -> Checkpoint:
         """Canonical form: merged ranges, records sorted and deduplicated."""

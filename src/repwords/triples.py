@@ -9,17 +9,15 @@ inadmissible one, which under abc has only finitely many solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import Frozen
 
-@dataclass(frozen=True, order=True)
-class Triple:
+
+class Triple(Frozen, order=True):
     """Exponent q >= 2, repetition count n >= 2, word length l >= 1."""
 
-    q: int
-    n: int
-    l: int
+    __slots__ = ("q", "n", "l")
 
     def __post_init__(self) -> None:
         if self.q < 2:

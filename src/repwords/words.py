@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import decimal
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
+
+from .arith import Frozen
 
 
 class System(str, Enum):
@@ -57,17 +58,14 @@ def fibonacci(i: int) -> int:
     return _FIBS[i]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """Immutable digit string; equality is (system, base, digits).
 
     ``base`` carries no meaning for Zeckendorf words and is pinned to 2
     there so that equal words compare equal.
     """
 
-    system: System
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("system", "base", "digits")  # a System, an int, a tuple of ints
 
     def __post_init__(self) -> None:
         if self.system is System.ZECKENDORF:
@@ -96,16 +94,10 @@ class Word:
         return len(self.digits)
 
 
-def canonical_word(base: int, digits: tuple[int, ...]) -> Word:
-    return Word(System.CANONICAL, base, digits)
-
-
-def bijective_word(base: int, digits: tuple[int, ...]) -> Word:
-    return Word(System.BIJECTIVE, base, digits)
-
-
-def zeckendorf_word(digits: tuple[int, ...]) -> Word:
-    return Word(System.ZECKENDORF, 2, digits)
+# canonical_word(base, digits), bijective_word(base, digits), zeckendorf_word(digits)
+canonical_word = partial(Word, System.CANONICAL)
+bijective_word = partial(Word, System.BIJECTIVE)
+zeckendorf_word = partial(Word, System.ZECKENDORF, 2)
 
 
 # Radix conversion (Brent & Zimmermann, Modern Computer Arithmetic, 1.7).

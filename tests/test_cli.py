@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repwords
 from repwords import SolutionRecord, Triple, canonical_word, check_solution, gen_232, is_admissible
 from repwords import cli, search
 from repwords.cli import main
@@ -640,6 +645,35 @@ def test_checkpoint_in_a_missing_directory_is_an_operation_failure(capsys, tmp_p
     assert (code, out) == (1, "")
     assert err.startswith(f"error: [Errno 2] No such file or directory: '{path.parent}/")
     assert err.endswith(".tmp'\n") and err.count("\n") == 1
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly_with_141():
+    # the search prints about 1 MB, far past a pipe's buffer, so it is still
+    # writing when its reader leaves after the first line, as `| head -n 1` does
+    env = {**os.environ, "PYTHONPATH": str(Path(repwords.__file__).parents[1])}
+    argv = "search --q 2 --n 2 --l 3 --b-lo 2 --b-hi 3000".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repwords.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"q,n,l,b,y,c,w\r\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 141  # the status of a writer SIGPIPE ends
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_a_broken_pipe_without_a_descriptor_still_exits_141(capsys, monkeypatch):
+    # capsys's stdout has no file descriptor to point at devnull
+    def closed(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "write_records", closed)
+    assert run(capsys, *"search --q 2 --n 3 --l 1 --b-lo 2 --b-hi 30".split()) == (141, "", "")
 
 
 def test_bugs_leave_main_as_themselves(monkeypatch):

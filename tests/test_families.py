@@ -1,7 +1,6 @@
 """Family generators: first members against the golden tables, and
 structural invariants along each orbit."""
 
-import dataclasses
 import types
 from itertools import islice
 
@@ -10,6 +9,7 @@ import pytest
 from repwords import families, search
 from repwords.arith import QuadInt
 from repwords.corpus import (
+    PatternRow,
     TableCorpus,
     _check_pattern_row,
     _check_zeckendorf_row,
@@ -347,7 +347,9 @@ def _block_digit_changes(row):
             elif state != ":":  # not in a count kn+m
                 for d in range(1, row.base + 1):
                     if d != int(ch):
-                        yield dataclasses.replace(row, **{field: text[:i] + str(d) + text[i + 1:]})
+                        changed = {"y_pattern": row.y_pattern, "w_pattern": row.w_pattern}
+                        changed[field] = text[:i] + str(d) + text[i + 1:]
+                        yield PatternRow(row.base, row.row, **changed)
 
 
 def test_changed_block_digits_fail_as_the_digit_oracle_does():

@@ -3,6 +3,9 @@ module level in an acyclic module graph, no raised int/str digit limit, no
 assert statement, an exact __all__, and no function without a caller."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -132,3 +135,14 @@ def test_every_function_has_a_caller():
             if uses[fn.name] <= inside and fn.name not in repwords.__all__:
                 found.append(f"{fname}:{fn.lineno}: {qualname}")
     assert found == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since pytest has loaded both here: the records
+    # build without dataclasses, which alone would load inspect, ast and dis
+    code = "import sys, repwords.cli; print(sys.modules.keys() & {'dataclasses', 'inspect'})"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert run.stdout == "set()\n"

@@ -2,7 +2,6 @@
 Zeckendorf square scans."""
 
 import concurrent.futures
-import dataclasses
 import functools
 import json
 import math
@@ -99,7 +98,12 @@ def test_check_solution_invariant_names():
     assert real.w.digits == (9, 13, 4)
     carried = canonical_word(19, (9, 13, 4))
     object.__setattr__(carried, "digits", (9, 12, 4 + 19))
-    assert check_solution(dataclasses.replace(real, w=carried)) == "digit-string"
+    assert check_solution(_changed(real, w=carried)) == "digit-string"
+
+
+def _changed(r, **fields):
+    # the record r with the given fields changed, built by the constructor
+    return SolutionRecord(**{**{f: getattr(r, f) for f in "qnlbycw"}, **fields})
 
 
 def _literal_check(rec):
@@ -129,14 +133,14 @@ def _with_digits(r, digits):
     # a record whose word is changed after __post_init__, past its checks
     w = canonical_word(r.w.base, r.w.digits)
     object.__setattr__(w, "digits", tuple(digits))
-    return dataclasses.replace(r, w=w)
+    return _changed(r, w=w)
 
 
 def _mutants(r):
     for field in "qnlbyc":
         for step in (-1, 1):
-            yield dataclasses.replace(r, **{field: getattr(r, field) + step})
-    yield dataclasses.replace(r, w=canonical_word(r.b + 1, r.w.digits))
+            yield _changed(r, **{field: getattr(r, field) + step})
+    yield _changed(r, w=canonical_word(r.b + 1, r.w.digits))
     d, b = list(r.w.digits), r.b
     yield _with_digits(r, d[:-1] + [-1])
     if len(d) > 1:
@@ -150,7 +154,7 @@ def _mutants(r):
         yield _with_digits(r, [d[0] + b])
     # a leading zero with c following the word's value: c falls below b**(l-1)
     zero_led = _with_digits(r, [0] + d[1:])
-    yield dataclasses.replace(zero_led, c=word_value(zero_led.w))
+    yield _changed(zero_led, c=word_value(zero_led.w))
 
 
 def _records_to_check():
@@ -217,7 +221,7 @@ def _block_form_matches_literal_on_a_random_mutant(data):
     # (value kept) or changed (value followed by c or not)
     r = data.draw(st.sampled_from(_small_records()))
     nudge = st.sampled_from([0, 0, 0, -1, 1])
-    r = dataclasses.replace(r, **{f: getattr(r, f) + data.draw(nudge) for f in "qnlbyc"})
+    r = _changed(r, **{f: getattr(r, f) + data.draw(nudge) for f in "qnlbyc"})
     d = list(r.w.digits)
     i = data.draw(st.integers(0, len(d) - 1))
     k = data.draw(st.integers(-2, 2))
@@ -227,7 +231,7 @@ def _block_form_matches_literal_on_a_random_mutant(data):
         d[i] += k
     m = _with_digits(r, d)
     if data.draw(st.booleans()):
-        m = dataclasses.replace(m, c=word_value(m.w))
+        m = _changed(m, c=word_value(m.w))
     assert check_solution(m) == _literal_check(m)
 
 
@@ -253,7 +257,7 @@ def test_a_true_record_past_the_residue_threshold_passes():
     r = rec(q, 2, 1, b, 2, 1)
     assert r.q * r.y.bit_length() > search._RESIDUE_BITS
     assert check_solution(r) is None
-    assert check_solution(dataclasses.replace(r, n=3)) == "power-equation"
+    assert check_solution(_changed(r, n=3)) == "power-equation"
     assert check_solution(rec(q, 2, 1, b + 1, 2, 1)) == "power-equation"
 
 
@@ -1151,7 +1155,7 @@ def test_checkpoint_normalize_sorts_and_deduplicates_records():
         assert Checkpoint(t, (), given, ()).normalized().solutions == sols
     # distinct records at one (b, y) are both kept
     r = sols[0]
-    twin = dataclasses.replace(r, c=r.c + 1)
+    twin = _changed(r, c=r.c + 1)
     for given in ((r, twin), (twin, r, twin)):
         assert set(Checkpoint(t, (), given, ()).normalized().solutions) == {r, twin}
         assert len(Checkpoint(t, (), given, ()).normalized().solutions) == 2
