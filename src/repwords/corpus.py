@@ -1,8 +1,11 @@
 """Bundled golden tables of known solutions, and their verification.
 
-Each corpus is a CSV file: comment lines start with '#', the header row
-names the columns, and every integer is kept as a decimal string so the
-files stay diffable at any magnitude.  Three layouts exist:
+Each corpus is a CSV file of UTF-8 text, decoded line by line whatever
+the locale: comment lines start with '#', the header row names the
+columns, and every integer is kept as a decimal string so the files stay
+diffable at any magnitude.  Any bad line, one that is not UTF-8 too, is
+refused as a MalformedCorpusError naming its name:lineno.  Three layouts
+exist:
 
   q,n,l,b,y,c,w            full solution records
   y,w                      Zeckendorf squares, w a bit word
@@ -32,12 +35,11 @@ from importlib import resources
 from pathlib import Path
 
 from .arith import Frozen
-from .search import SolutionRecord, check_solution
+from .search import check_solution, solution_from_cells
 from .words import (
     System,
     Word,
     bijective_word,
-    canonical_word,
     format_decimal,
     parse_decimal,
     parse_decimals,
@@ -141,46 +143,28 @@ def builtin_corpora() -> tuple[str, ...]:
     return tuple(sorted(e.name[:-4] for e in _tables_dir().iterdir() if e.name.endswith(".csv")))
 
 
-def _parse_solution(cells: list[str], where: str) -> SolutionRecord:
-    m = _WORD_CELL.fullmatch(cells[6].strip())
-    # the six cells are parsed, and may fail, before the word cell is judged
-    q, n, l, b, y, c, *digits = parse_decimals(cells[:6] + (m.group(1).split(",") if m else []))
-    if not m:
-        raise MalformedCorpusError(f"{where}: bad word cell {cells[6]!r}")
-    return SolutionRecord(q, n, l, b, y, c, canonical_word(b, tuple(digits)))
-
-
-def _parse_rows(kind: str, width: int, numbered, name: str):
-    rows = []
-    for lineno, cells in numbered:
-        where = f"{name}:{lineno}"
-        if len(cells) != width:
-            raise MalformedCorpusError(f"{where}: expected {width} columns")
-        try:
-            if kind == "solutions":
-                rows.append(_parse_solution(cells, where))
-            elif kind == "zeckendorf-squares":
-                y = parse_decimal(cells[0])
-                bits = cells[1].strip()
-                if not bits.isascii():
-                    raise MalformedCorpusError(f"{where}: bad word cell {cells[1]!r}")
-                digits = tuple(int(ch) for ch in bits)
-                rows.append((y, zeckendorf_word(digits)))
-            else:
-                base, number = map(parse_decimal, cells[:2])
-                row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
-                for block, _, _ in parse_pattern(row.y_pattern) + parse_pattern(row.w_pattern):
-                    bad = [d for d in block if not 1 <= d <= row.base]
-                    if bad:
-                        raise MalformedCorpusError(
-                            f"{where}: digit {bad[0]} outside 1..{format_decimal(row.base)}"
-                        )
-                rows.append(row)
-        except MalformedCorpusError:
-            raise
-        except ValueError as exc:
-            raise MalformedCorpusError(f"{where}: {exc}") from exc
-    return tuple(rows)
+def _parse_row(kind: str, cells: list[str]):
+    """One data row of a corpus layout; ValueError at the first check it fails."""
+    if kind == "solutions":
+        m = _WORD_CELL.fullmatch(cells[6].strip())
+        if not m:
+            # the six cells are parsed, and may fail, before the word cell is judged
+            parse_decimals(cells[:6])
+            raise ValueError(f"bad word cell {cells[6]!r}")
+        return solution_from_cells(cells[:6], m.group(1).split(","))
+    if kind == "zeckendorf-squares":
+        y = parse_decimal(cells[0])
+        bits = cells[1].strip()
+        if not bits.isascii():
+            raise ValueError(f"bad word cell {cells[1]!r}")
+        return y, zeckendorf_word(tuple(int(ch) for ch in bits))
+    base, number = map(parse_decimal, cells[:2])
+    row = PatternRow(base, number, cells[2].strip(), cells[3].strip())
+    for block, _, _ in parse_pattern(row.y_pattern) + parse_pattern(row.w_pattern):
+        bad = [d for d in block if not 1 <= d <= row.base]
+        if bad:
+            raise ValueError(f"digit {bad[0]} outside 1..{format_decimal(row.base)}")
+    return row
 
 
 def load_corpus(name_or_path: str | Path) -> TableCorpus:
@@ -191,7 +175,7 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
     """
     path = Path(name_or_path)
     if path.is_file():
-        name, text = path.stem, path.read_text()
+        name, data = path.stem, path.read_bytes()
     else:
         base = str(name_or_path).removesuffix(".csv")
         entry = _tables_dir().joinpath(base + ".csv")
@@ -199,27 +183,32 @@ def load_corpus(name_or_path: str | Path) -> TableCorpus:
             raise MalformedCorpusError(
                 f"no such corpus {name_or_path!r}; bundled: {', '.join(builtin_corpora())}"
             )
-        name, text = base, entry.read_text()
+        name, data = base, entry.read_bytes()
 
-    numbered = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not numbered:
-        return TableCorpus(name, "solutions", ())
-
-    old_limit = csv.field_size_limit(len(text) + 1)  # no cell outgrows its file
+    old_limit = csv.field_size_limit(len(data) + 1)  # no cell outgrows its file
     try:
-        parsed = list(zip((n for n, _ in numbered), csv.reader(l for _, l in numbered)))
+        numbered = []
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            line = raw.decode()  # line by line, so an error names its line
+            if line.strip() and not line.lstrip().startswith("#"):
+                numbered.append((lineno, line))
+        parsed = zip((n for n, _ in numbered), csv.reader(l for _, l in numbered))
+        lineno, header = next(parsed, (0, None))
+        if header is None:
+            return TableCorpus(name, "solutions", ())
+        kind = _HEADERS.get(tuple(h.strip() for h in header))
+        if kind is None:
+            raise ValueError(f"unrecognized header {header}")
+        rows = []
+        for lineno, cells in parsed:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} columns")
+            rows.append(_parse_row(kind, cells))
+    except ValueError as exc:
+        raise MalformedCorpusError(f"{name}:{lineno}: {exc}") from exc
     finally:
         csv.field_size_limit(old_limit)
-    header_lineno, header = parsed[0]
-    kind = _HEADERS.get(tuple(h.strip() for h in header))
-    if kind is None:
-        raise MalformedCorpusError(f"{name}:{header_lineno}: unrecognized header {header}")
-    rows = _parse_rows(kind, len(header), parsed[1:], name)
-    return TableCorpus(name, kind, rows)
+    return TableCorpus(name, kind, tuple(rows))
 
 
 def _check_zeckendorf_row(y: int, w: Word) -> str | None:

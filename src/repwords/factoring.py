@@ -14,7 +14,7 @@ Factorizations of b^n +- 1).
 
 The factoring core is deterministic: trial division (for factor), a
 perfect power reduction, Miller-Rabin with a fixed witness set (provably
-correct below 3.3e24, extended by a strong Lucas test above), and Brent's
+correct below 3.2e23, extended by a strong Lucas test above), and Brent's
 cycle finding with a fixed parameter schedule.  Pieces are cached after
 sieving, where defect_reaches reads them, and finished on demand; an
 optional wall clock budget on that aborts cleanly so long range scans
@@ -41,9 +41,10 @@ from .arith import Frozen, iroot
 
 _TRIAL_LIMIT = 10_000
 
-# Deterministic Miller-Rabin witnesses: correct for all n < 3.3e24.
+# Deterministic Miller-Rabin witnesses: correct for all n below psi_12 ~ 3.2e23,
+# the least strong pseudoprime to every one of them (Sorenson & Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PROVEN_BOUND = 318_665_857_834_031_151_167_461
 
 
 class FactorBudgetError(RuntimeError):
@@ -164,7 +165,7 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic below 3.3e24; Miller-Rabin plus strong Lucas above."""
+    """Deterministic below 3.2e23; Miller-Rabin plus strong Lucas above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

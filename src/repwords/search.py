@@ -272,14 +272,16 @@ _SOLUTION_SHAPE = re.compile(
 )
 
 
-def _solution(cells: list[str], w: list[str]) -> SolutionRecord:
+def solution_from_cells(cells: list[str], w: list[str]) -> SolutionRecord:
+    """The record of six decimal cells q n l b y c and the decimal digits w of
+    its canonical word; ValueError names the first cell that is not ASCII digits."""
     q, n, l, b, y, c, *digits = parse_decimals(cells + w)
     return SolutionRecord(q, n, l, b, y, c, Word(System.CANONICAL, b, tuple(digits)))
 
 
 def _solution_from_shape(m: re.Match) -> SolutionRecord:
     *cells, w = m.groups()
-    rec = _solution(cells, w.split('", "') if w else [])
+    rec = solution_from_cells(cells, w.split('", "') if w else [])
     object.__setattr__(rec, "_checkpoint_line", m.string)  # seeds the cached_property
     return rec
 
@@ -291,7 +293,7 @@ def _solution_from_json(obj) -> SolutionRecord:
     cells, w = [obj[k] for k in "qnlbyc"], obj["w"]
     if not (isinstance(w, list) and all(isinstance(s, str) for s in cells + w)):
         raise CheckpointError(f"expected decimal strings, got {obj!r:.64}")
-    return _solution(cells, w)
+    return solution_from_cells(cells, w)
 
 
 def write_checkpoint(path: str, cp: Checkpoint) -> None:
@@ -326,18 +328,16 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
     completed: list[tuple[int, int]] = []
     solutions: list[SolutionRecord] = []
     unresolved: list[int] = []
-    # undecodable bytes are read as lone surrogates, then refused line by line
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # lines end at b"\n" (JSON Lines), and each is decoded alone, strictly
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 if shape := _SOLUTION_SHAPE.fullmatch(line):
                     key, val = "solution", shape
                 else:
-                    if not line.isascii():  # raises UnicodeDecodeError at a lone surrogate
-                        line.encode(errors="surrogateescape").decode()
                     obj = json.loads(line)
                     if not isinstance(obj, dict) or len(obj) != 1:
                         raise CheckpointError("each line must be a one-key object")
@@ -364,7 +364,7 @@ def load_checkpoint(path: str, expect: Triple | None = None) -> Checkpoint:
                     raise CheckpointError(f"unknown record kind {key!r}")
             except (CheckpointError, ValueError, KeyError) as e:
                 unparsable = isinstance(e, (json.JSONDecodeError, UnicodeDecodeError))
-                if unparsable and not raw.endswith("\n"):
+                if unparsable and not raw.endswith(b"\n"):
                     break  # unterminated last line: an append cut short
                 raise CheckpointError(f"{path}:{lineno}: {e}") from None
     if triple is None:

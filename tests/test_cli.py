@@ -453,6 +453,37 @@ def test_verify_non_ascii_word_digits_is_a_malformed_corpus(capsys, tmp_path):
     assert "arabic:2: bad word cell" in err
 
 
+def test_verify_refuses_a_line_that_is_not_utf8_at_its_line(capsys, tmp_path):
+    # each line is decoded alone, so the codec's message comes with the
+    # file's name and the line number, and exit 2 as any malformed row
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"q,n,l,b,y,c,w\n2,3,1,18,4\xff9,7,(7)\n")
+    code, out, err = run(capsys, "verify", "--corpus", str(p))
+    assert (code, out) == (2, "")
+    codec = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    assert err == f"error: latin:2: {codec}\n"
+
+
+def test_verify_reads_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, with UTF-8 mode and locale coercion off, Python's
+    # own default text encoding is ASCII
+    p = tmp_path / "cafe.csv"
+    p.write_text("# caf\u00e9\nq,n,l,b,y,c,w\n2,3,1,18,49,7,(7)\n", encoding="utf-8")
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repwords.__file__).parents[1]),
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "repwords.cli", "verify", "--corpus", str(p)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"ok   q=2 n=3 l=1 b=18 y=49\ncorpus cafe: 1/1 rows pass\n"
+
+
 def test_verify_reads_back_generate_of_any_size(capsys, tmp_path):
     # the y of member 46 of (2,3,2) has 4331 digits, past int()'s 4300
     code, out, _ = run(capsys, *"generate --triple 2,3,2 --count 46".split())

@@ -122,6 +122,22 @@ def test_malformed_inputs(tmp_path):
         load_corpus("definitely_not_bundled")
 
 
+@pytest.mark.parametrize(
+    "lines,lineno",
+    [
+        ([b"# caf\xe9", b"q,n,l,b,y,c,w", b"2,3,1,18,49,7,(7)"], 1),  # a Latin-1 comment
+        ([b"# ok", b"q,n,l,b,y,c,w\xff", b"2,3,1,18,49,7,(7)"], 2),  # the header
+        # a character cut short in a row
+        ([b"q,n,l,b,y,c,w", b"2,3,1,18,49,7,(7)", b"2,3,1,18,49,7,(7\xe2\x82)"], 3),
+    ],
+)
+def test_a_line_that_is_not_utf8_is_refused_at_its_line(tmp_path, lines, lineno):
+    p = tmp_path / "bytes.csv"
+    p.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(MalformedCorpusError, match=f"^bytes:{lineno}: 'utf-8' codec can't decode"):
+        load_corpus(p)
+
+
 @pytest.mark.parametrize("bad", ["1_000", "+12", "\u0661\u0662", "-5"])
 def test_integer_cells_are_ascii_digits_at_any_length(tmp_path, bad):
     # int() takes each of these up to 4,300 digits and refuses it past them

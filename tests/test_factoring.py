@@ -71,10 +71,16 @@ def test_is_probable_prime_edges():
         assert not is_probable_prime(n)
     assert is_probable_prime(2**89 - 1)  # Mersenne prime
     assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+    # psi_12, the least strong pseudoprime to every base 2..37, goes on to
+    # the strong Lucas test, which refuses it
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert factoring._miller_rabin(psi_12, factoring._MR_BASES)
+    assert not is_probable_prime(psi_12)
+    assert factor(psi_12).factors == ((399_165_290_221, 1), (798_330_580_441, 1))
 
 
 def test_is_probable_prime_above_the_proven_bound():
-    # primes past 3.3e24 whose n + 1 has an odd part above 1, so the
+    # primes past 3.2e23 whose n + 1 has an odd part above 1, so the
     # strong Lucas ladder runs over its bits
     for p in (10**25 + 13, 10**30 + 57, (2**148 + 1) // 17):
         assert is_probable_prime(p)

@@ -973,6 +973,25 @@ def test_undecodable_torn_tail_resumes(tmp_path):
         assert path.read_bytes() == whole_path.read_bytes()
 
 
+def test_crlf_checkpoint_resumes_to_the_bytes_of_an_lf_run(tmp_path):
+    # lines end at b"\n" and are stripped, so a checkpoint with CRLF line
+    # ends loads as its LF twin does, a torn last line dropped as ever; the
+    # resumed run rewrites it to the bytes of an uninterrupted one
+    t = Triple(2, 3, 1)
+    whole_path = tmp_path / "whole.jsonl"
+    whole = search_range(t, 2, 75, str(whole_path))
+    lf_path, path = tmp_path / "lf.jsonl", tmp_path / "cp.jsonl"
+    search_range(t, 2, 40, str(lf_path))
+    lf = load_checkpoint(str(lf_path))
+    assert lf.solutions
+    head = lf_path.read_bytes().replace(b"\n", b"\r\n")
+    for tail in (b"", b'{"range": ["41", "6'):
+        path.write_bytes(head + tail)
+        assert load_checkpoint(str(path)) == lf
+        assert search_range(t, 2, 75, str(path)) == whole
+        assert path.read_bytes() == whole_path.read_bytes()
+
+
 def test_writer_solution_lines_are_read_without_json(tmp_path, monkeypatch):
     # every solution line the writer makes, a 4,331-digit y's too, is read
     # by the one pattern: json.loads decodes only the other lines
